@@ -115,7 +115,7 @@ def test_ablation_decode_scheduling(benchmark, scheduling_rows):
         assert row["optimal(alg4)"] < 1.05
 
 
-@pytest.mark.parametrize("mode", ["fused", "streaming"])
+@pytest.mark.parametrize("mode", ["kernel", "streaming"])
 def test_ablation_executor_mode(benchmark, filled_stripe, mode):
     code = LiberationOptimal(10, p=11, element_size=4096, execution=mode)
     buf = filled_stripe(code)

@@ -39,7 +39,6 @@ from repro.analysis.static.symbolic import (
     garbage_atom,
     pristine_state,
     symbolic_execute,
-    symbolic_execute_groups,
 )
 from repro.analysis.static.structural import check_structure
 from repro.analysis.static.spec import parity_spec, spec_xor_lower_bound
@@ -66,7 +65,6 @@ __all__ = [
     "garbage_atom",
     "pristine_state",
     "symbolic_execute",
-    "symbolic_execute_groups",
     "check_structure",
     "parity_spec",
     "spec_xor_lower_bound",

@@ -43,7 +43,6 @@ __all__ = [
     "is_garbage",
     "pristine_state",
     "symbolic_execute",
-    "symbolic_execute_groups",
     "format_expr",
 ]
 
@@ -121,34 +120,6 @@ def symbolic_execute(schedule: Schedule, state: State | None = None) -> State:
             current[op.dst] = src
         else:
             current[op.dst] = current[op.dst] ^ src
-    return current
-
-
-def symbolic_execute_groups(
-    cols: int,
-    rows: int,
-    groups: Iterable[tuple[int, Iterable[int], bool]],
-    state: State | None = None,
-) -> State:
-    """Interpret fused executor groups (see ``repro.engine.executor``).
-
-    Each group is ``(dst, srcs, init_copy)`` over *flat* cell indices
-    (``col * rows + row``): ``dst <- (0 if init_copy else dst) ^
-    xor(srcs)``, with every source read at the group's execution point.
-    Used to prove that schedule compilation preserved semantics.
-    """
-    if state is None:
-        state = pristine_state(cols, rows)
-    current = dict(state)
-
-    def cell(flat: int) -> Cell:
-        return (flat // rows, flat % rows)
-
-    for dst, srcs, init_copy in groups:
-        acc: Expr = ZERO if init_copy else current[cell(dst)]
-        for s in srcs:
-            acc = acc ^ current[cell(s)]
-        current[cell(dst)] = acc
     return current
 
 

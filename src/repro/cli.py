@@ -688,16 +688,17 @@ def cmd_cluster_heal(args) -> int:
         )
         for _ in range(args.probes):
             await monitor.probe_once()
-        rows = [
-            {
-                "column": entry["column"],
-                "state": "FAILED" if entry["failed"]
+        nodes = {entry["id"]: entry for entry in monitor.status()["nodes"]}
+        rows = []
+        for column in range(array.code.n_cols):
+            entry = nodes[array.column_node(column)]
+            rows.append({
+                "column": column,
+                "state": "FAILED" if entry["state"] == "dead"
                 else ("missing" if entry["misses"] else "alive"),
                 "misses": entry["misses"],
                 "breaker": entry["breaker"],
-            }
-            for entry in monitor.status()["columns"]
-        ]
+            })
         print(format_table(rows, title=f"column health after {args.probes} probes"))
         if args.rebuild is not None:
             spare = _parse_address(args.spare)
@@ -706,7 +707,7 @@ def cmd_cluster_heal(args) -> int:
             print(f"rebuilt {done} stripes; column {args.rebuild} now served by "
                   f"{args.spare}")
             return 0
-        return 0 if not any(monitor.failed) else 1
+        return 0 if not array.membership.counts()["dead"] else 1
 
     return asyncio.run(run())
 

@@ -8,14 +8,16 @@ backoff sleeps, latency observations -- flows through an injectable
 :class:`~repro.sim.clock.Clock` and all byte I/O through an injectable
 :class:`~repro.sim.transport.Transport`, so the same code path runs on
 real sockets in production and on virtual time + in-memory pipes under
-:mod:`repro.sim`, where scenarios replay bit-identically from a seed.  :class:`ClusterArray` is the data path: it stripes
-full-stripe writes across ``k + 2`` :class:`~repro.cluster.node.StripNode`
-servers (column ``c`` lives on node ``c``; the cluster relies on node
-placement, not rotation, for failure independence), serves **degraded
-reads** by pulling survivor strips and decoding with the configured
-code (the paper's Algorithm 4 path for ``liberation-optimal``, plan
-cached per erasure pattern), and degrades gracefully while any two
-nodes are unreachable or faulty.
+:mod:`repro.sim`, where scenarios replay bit-identically from a seed.
+
+:class:`ClusterArray` is the data path: it stripes full-stripe writes
+across :class:`~repro.cluster.node.StripNode` servers (on a ``k + 2``
+pool column ``c`` lives on node ``c``; a larger pool places each stripe
+by rendezvous hashing), serves **degraded reads** by pulling survivor
+strips and decoding with the configured code (the paper's Algorithm 4
+path for ``liberation-optimal``, plan cached per erasure pattern), and
+degrades gracefully while any two of a stripe's nodes are unreachable
+or faulty.
 
 Everything here is asyncio-native; the CLI and examples wrap entry
 points in ``asyncio.run``.
@@ -27,9 +29,12 @@ import asyncio
 import contextlib
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.cluster.membership import MembershipTable, NodeState
+from repro.cluster.placement import PlacementMap
 from repro.cluster.protocol import FrameChecksumError, ProtocolError, read_frame, write_frame
 from repro.codes.base import RAID6Code
 from repro.obs.metrics import MetricsRegistry
@@ -37,6 +42,9 @@ from repro.obs.tracing import Tracer
 from repro.sim.clock import Clock, RealClock
 from repro.sim.transport import AsyncioTransport, Transport
 from repro.utils.words import WORD_DTYPE
+
+if TYPE_CHECKING:
+    from repro.cluster.health import CircuitBreaker
 
 __all__ = [
     "RetryPolicy",
@@ -357,7 +365,7 @@ class NodeClient:
 
 
 class ClusterArray:
-    """A RAID-6 array whose strips live on ``k + 2`` network nodes.
+    """A RAID-6 array whose strips live on network nodes.
 
     The mirror image of :class:`repro.array.raid6.RAID6Array` with the
     disk accesses replaced by concurrent RPCs.  Reads always succeed
@@ -365,12 +373,33 @@ class ClusterArray:
     network faults and disk errors); writes skip unreachable columns
     the way a degraded array skips failed disks, leaving the stripe
     recoverable through the parity that *was* written.
+
+    Every strip routes through :meth:`holders` -- the authoritative
+    ``stripe -> node ids`` map in :attr:`locations` -- over the
+    :class:`~repro.cluster.membership.MembershipTable` that names each
+    node's address.  ``nodes`` is either that table or the ``k + 2``
+    node addresses in column order, from which a table of ids ``n0``,
+    ``n1``, ... is built.  A table of exactly ``k + 2`` nodes gets the
+    fixed layout: column *c* of every stripe on the *c*-th node to
+    join, so a lost node is one lost column of every stripe (one
+    erasure pattern for the decoder, one column to rebuild).  A larger
+    pool pins each stripe, on first touch, to its rendezvous placement
+    (:class:`~repro.cluster.placement.PlacementMap`); afterwards only a
+    :class:`~repro.cluster.rebalance.Rebalancer` flip moves it.
+
+    **Epoch-bump retry**: a data RPC that fails with
+    :class:`NodeUnavailableError` *and* observes the membership epoch
+    moved since it was resolved re-resolves the holder and retries once
+    (``epoch_retries`` counter), so a client racing a migration or a
+    drain sees one slow request, not an error.  A per-stripe lock
+    serializes foreground stripe writes against migrations of the same
+    stripe; reads wait only while the stripe is in :attr:`migrating`.
     """
 
     def __init__(
         self,
         code: RAID6Code,
-        addresses: list[tuple[str, int]] | None,
+        nodes: list[tuple[str, int]] | MembershipTable,
         n_stripes: int,
         *,
         policy: RetryPolicy | None = None,
@@ -380,15 +409,17 @@ class ClusterArray:
         tracer: Tracer | None = None,
         hedge_after: float | None = None,
     ) -> None:
-        # ``addresses=None`` is the elastic mode: a subclass overrides
-        # the ``_client_for`` / ``_breaker_for`` resolvers to route each
-        # (column, stripe) through placement instead of a fixed list.
-        if addresses is not None and len(addresses) != code.n_cols:
-            raise ValueError(
-                f"need {code.n_cols} node addresses (k+2), got {len(addresses)}"
-            )
         if n_stripes <= 0:
             raise ValueError("n_stripes must be positive")
+        if not isinstance(nodes, MembershipTable):
+            if len(nodes) != code.n_cols:
+                raise ValueError(
+                    f"need {code.n_cols} node addresses (k+2), got {len(nodes)}"
+                )
+            table = MembershipTable()
+            for i, address in enumerate(nodes):
+                table.join(f"n{i}", address, live=True)
+            nodes = table
         self.code = code
         self.n_stripes = int(n_stripes)
         self.policy = policy or RetryPolicy()
@@ -398,15 +429,29 @@ class ClusterArray:
         self.rng = rng
         self.tracer = tracer
         self.hedge_after = hedge_after
-        self.clients = (
-            [] if addresses is None else [self._make_client(addr) for addr in addresses]
-        )
-        #: per-column circuit breakers, installed by
-        #: :class:`repro.cluster.health.HealthMonitor`; None = no gating
-        self.breakers: list | None = None
+        self.membership = nodes
+        if nodes.metrics is None:
+            nodes.metrics = self.metrics
+            nodes._export()
+        self.placement = PlacementMap(nodes, code.n_cols)
+        #: authoritative current holders (stripe -> node ids per column);
+        #: flipped atomically by the rebalancer after a verified migration
+        self.locations: dict[int, tuple[str, ...]] = {}
+        if len(nodes.nodes) == code.n_cols:
+            self.locations = dict.fromkeys(range(self.n_stripes), tuple(nodes.nodes))
+        #: one cached client per node id (see :meth:`client_for_node`)
+        self.clients: dict[str, NodeClient] = {}
+        #: per-node circuit breakers, installed by
+        #: :class:`repro.cluster.health.HealthMonitor`; absent = no gating
+        self.breakers: dict[str, CircuitBreaker] = {}
         #: stripes whose last write skipped columns -- the scrubber's
         #: priority queue (stripe -> set of stale columns)
         self.dirty_stripes: dict[int, set[int]] = {}
+        #: stripes with a migration in flight (set by the rebalancer);
+        #: readers of such a stripe wait for the flip instead of racing
+        #: the window where a target's disk slot is being overwritten
+        self.migrating: set[int] = set()
+        self._stripe_locks: dict[int, asyncio.Lock] = {}
 
     def _make_client(self, address: tuple[str, int]) -> NodeClient:
         return NodeClient(
@@ -435,31 +480,63 @@ class ClusterArray:
         if not 0 <= stripe < self.n_stripes:
             raise IndexError(f"stripe {stripe} out of range [0, {self.n_stripes})")
 
-    def replace_node(self, column: int, address: tuple[str, int]) -> None:
-        """Point a column at a replacement node (post-rebuild).
+    # -- routing -------------------------------------------------------------
 
-        Any circuit-breaker state belongs to the *old* node, so the
-        column's breaker resets -- otherwise a freshly rebuilt column
-        would stay short-circuited for the rest of the cooldown.
+    def holders(self, stripe: int) -> tuple[str, ...]:
+        """Current holder ids for ``stripe``, pinned on first touch.
+
+        A stripe's first resolution pins it to the placement of that
+        moment; afterwards only a rebalancer flip moves it, so routing
+        never silently follows placement to a node that holds nothing.
         """
-        self.clients[column] = self._make_client(address)
-        if self.breakers is not None:
-            self.breakers[column].reset()
+        locs = self.locations.get(stripe)
+        if locs is None:
+            locs = self.placement.nodes_for(stripe)
+            self.locations[stripe] = locs
+        return locs
+
+    def client_for_node(self, node_id: str) -> NodeClient:
+        """Cached client for one node, rebuilt if its address changed."""
+        address = self.membership.address_of(node_id)
+        client = self.clients.get(node_id)
+        if client is None or client.address != address:
+            client = self.clients[node_id] = self._make_client(address)
+        return client
+
+    def column_node(self, column: int) -> str:
+        """The one node holding ``column`` of every stripe.
+
+        Raises :class:`ValueError` when the layout scatters the column
+        over several nodes (or some stripe is not pinned yet): a column
+        rebuild needs one machine to replace.
+        """
+        missing = (None,) * self.code.n_cols
+        ids = {
+            self.locations.get(s, missing)[column] for s in range(self.n_stripes)
+        }
+        if len(ids) != 1 or None in ids:
+            raise ValueError(f"column {column} is not laid out on one node")
+        return ids.pop()
+
+    def replace_node(self, column: int, address: tuple[str, int]) -> None:
+        """Point the node holding ``column`` at a replacement (post-rebuild).
+
+        The replacement takes over the node's id at the new address, so
+        routing, :meth:`client_for_node` and the membership table need
+        nothing new.  A DEAD node is LIVE again, and its circuit breaker
+        resets -- the breaker's state belongs to the *old* machine, and a
+        freshly rebuilt column must not stay short-circuited for the rest
+        of the cooldown.
+        """
+        node_id = self.column_node(column)
+        self.membership.set_address(node_id, address)
+        if self.membership.state_of(node_id) is NodeState.DEAD:
+            self.membership.mark_live(node_id)
+        breaker = self.breakers.get(node_id)
+        if breaker is not None:
+            breaker.reset()
 
     # -- strip RPCs --------------------------------------------------------
-
-    def _client_for(self, column: int, stripe: int | None) -> NodeClient:
-        """Resolve the node serving ``column`` (of ``stripe``).
-
-        The static array ignores ``stripe`` -- column *c* lives on node
-        *c* forever.  :class:`~repro.cluster.elastic.ElasticArray`
-        overrides this to route through the placement map at the
-        current membership epoch.
-        """
-        return self.clients[column]
-
-    def _breaker_for(self, column: int, stripe: int | None):
-        return self.breakers[column] if self.breakers is not None else None
 
     async def _column_request(
         self,
@@ -468,23 +545,41 @@ class ClusterArray:
         header: dict | None = None,
         payload: bytes = b"",
         *,
-        stripe: int | None = None,
+        stripe: int,
     ) -> tuple[dict, bytes]:
-        """Data-plane RPC to one column, gated by its circuit breaker.
+        """Data-plane RPC to the node holding ``column`` of ``stripe``."""
+        epoch = self.membership.epoch
+        try:
+            return await self._node_request(
+                self.holders(stripe)[column], verb, header, payload
+            )
+        except NodeUnavailableError:
+            if self.membership.epoch == epoch:
+                raise
+            # The cluster moved under us (join/leave/drain/migration
+            # flip): re-resolve the holder at the new epoch and spend
+            # one retry before surfacing the failure.
+            self.metrics.counter("epoch_retries").inc()
+            return await self._node_request(
+                self.holders(stripe)[column], verb, header, payload
+            )
+
+    async def _node_request(
+        self, node_id: str, verb: str, header: dict | None = None, payload: bytes = b""
+    ) -> tuple[dict, bytes]:
+        """RPC to one node, gated by its circuit breaker.
 
         An open breaker short-circuits to :class:`NodeUnavailableError`
         without touching the wire; outcomes feed back so the breaker
         sees every probe.  :class:`RemoteDiskError` counts as a
         *success* -- the node answered, its disk is the problem.
         """
-        breaker = self._breaker_for(column, stripe)
+        breaker = self.breakers.get(node_id)
         if breaker is not None and not breaker.allow():
             self.metrics.counter("breaker_short_circuits").inc()
-            raise NodeUnavailableError(
-                f"column {column}: circuit breaker open"
-            )
+            raise NodeUnavailableError(f"node {node_id}: circuit breaker open")
         try:
-            result = await self._client_for(column, stripe).request(
+            result = await self.client_for_node(node_id).request(
                 verb, header, payload
             )
         except NodeUnavailableError:
@@ -541,6 +636,13 @@ class ClusterArray:
                 buf[col] = res
         return missing
 
+    def stripe_lock(self, stripe: int) -> asyncio.Lock:
+        """Per-stripe lock shared by foreground writes and migrations."""
+        lock = self._stripe_locks.get(stripe)
+        if lock is None:
+            lock = self._stripe_locks[stripe] = asyncio.Lock()
+        return lock
+
     # -- stripe I/O --------------------------------------------------------
 
     async def read_stripe(self, stripe: int) -> np.ndarray:
@@ -551,6 +653,16 @@ class ClusterArray:
         erasure decode on the survivors.
         """
         self._check_stripe(stripe)
+        if stripe in self.migrating:
+            # A migration of this stripe is in its hazard window; wait
+            # for the routing flip rather than read a half-moved state.
+            async with self.stripe_lock(stripe):
+                pass
+        return await self._read_stripe(stripe)
+
+    async def _read_stripe(self, stripe: int) -> np.ndarray:
+        """:meth:`read_stripe` without the migration gate (the migrator
+        itself reads under the stripe lock)."""
         code = self.code
         buf = code.alloc_stripe()
         missing = await self._gather_columns(stripe, list(range(code.k)), buf)
@@ -584,10 +696,11 @@ class ClusterArray:
         """
         self._check_stripe(stripe)
         cols = list(range(self.code.n_cols)) if columns is None else list(columns)
-        results = await asyncio.gather(
-            *(self._store_strip(c, stripe, buf[c]) for c in cols),
-            return_exceptions=True,
-        )
+        async with self.stripe_lock(stripe):
+            results = await asyncio.gather(
+                *(self._store_strip(c, stripe, buf[c]) for c in cols),
+                return_exceptions=True,
+            )
         skipped: list[int] = []
         for col, res in zip(cols, results):
             if isinstance(res, (NodeUnavailableError, RemoteDiskError)):
@@ -664,31 +777,47 @@ class ClusterArray:
 
     # -- health / metrics --------------------------------------------------
 
-    async def ping(self) -> list[bool]:
-        """Liveness of every column's node (never raises)."""
-        results = await asyncio.gather(
-            *(c.request("ping") for c in self.clients), return_exceptions=True
-        )
-        return [not isinstance(r, BaseException) for r in results]
+    async def ping(self) -> dict[str, bool]:
+        """Liveness of every probed node, keyed by node id (never raises)."""
+        ids = self.membership.probed()
 
-    async def node_stats(self) -> list[dict | None]:
-        """Each node's ``stats`` reply header (None if unreachable)."""
-        results = await asyncio.gather(
-            *(c.request("stats") for c in self.clients), return_exceptions=True
-        )
-        return [None if isinstance(r, BaseException) else r[0] for r in results]
+        async def probe(node_id: str) -> bool:
+            try:
+                await self.client_for_node(node_id).request("ping")
+            except Exception:
+                return False
+            return True
+
+        alive = await asyncio.gather(*(probe(n) for n in ids))
+        return dict(zip(ids, alive))
+
+    async def node_stats(self) -> dict[str, dict | None]:
+        """Each serving node's ``stats`` reply header (None if unreachable)."""
+        ids = self.membership.serving()
+
+        async def fetch(node_id: str) -> dict | None:
+            try:
+                reply, _ = await self.client_for_node(node_id).request("stats")
+            except Exception:
+                return None
+            return reply
+
+        stats = await asyncio.gather(*(fetch(n) for n in ids))
+        return dict(zip(ids, stats))
 
     async def stats(self) -> dict:
         """Aggregate view: client-side metrics plus per-node snapshots."""
         nodes = await self.node_stats()
         return {
+            "epoch": self.membership.epoch,
             "client": self.metrics.snapshot(),
-            "nodes": [
-                None
+            "nodes": {
+                node_id: None
                 if reply is None
                 else {"column": reply.get("column"),
+                      "held": reply.get("held"),
                       "stats": reply.get("stats"),
                       "disk": reply.get("disk")}
-                for reply in nodes
-            ],
+                for node_id, reply in nodes.items()
+            },
         }

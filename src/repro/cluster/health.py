@@ -3,21 +3,24 @@
 Three mechanisms close the gap between "a node misbehaves" and "the
 operator notices":
 
-* **Heartbeats** -- :class:`HealthMonitor` pings every column on a
-  fixed cadence with a one-shot probe (no retries: the cadence *is*
-  the retry loop) and counts consecutive misses per column.
-* **Circuit breakers** -- each column gets a :class:`CircuitBreaker`
+* **Heartbeats** -- :class:`HealthMonitor` pings every node of the
+  membership table on a fixed cadence with a one-shot probe (no
+  retries: the cadence *is* the retry loop), counts consecutive misses
+  per node, and writes its verdicts into the table (``mark_dead``, and
+  ``mark_live`` when a node answers again).
+* **Circuit breakers** -- each node gets a :class:`CircuitBreaker`
   (installed on :attr:`ClusterArray.breakers`) that the data path
-  consults before every RPC.  A column that keeps timing out is
+  consults before every RPC.  A node that keeps timing out is
   short-circuited to an immediate
   :class:`~repro.cluster.client.NodeUnavailableError` -- the degraded
   read path takes over instantly instead of burning a retry budget per
   request -- until a half-open trial shows the node recovered.  The
   breaker runs on an injectable clock, so the sim drives it in virtual
   time.
-* **Auto-heal** -- once a column's consecutive misses cross the
-  threshold, the monitor declares it failed, asks ``spare_provider``
-  for a replacement address, streams a
+* **Auto-heal** -- once a node's consecutive misses cross the
+  threshold, the monitor marks it DEAD; if it held one whole column,
+  :meth:`HealthMonitor.heal` asks ``spare_provider`` for a replacement
+  address, streams a
   :class:`~repro.cluster.rebuild.RebuildScheduler` rebuild onto it,
   and repoints the array: fault to restored redundancy with no human
   in the loop.
@@ -33,6 +36,7 @@ import asyncio
 import enum
 
 from repro.cluster.client import ClusterArray, ClusterError, NodeClient, RetryPolicy
+from repro.cluster.membership import NodeState
 from repro.cluster.rebuild import RebuildScheduler
 from repro.sim.clock import Clock
 
@@ -138,17 +142,26 @@ class CircuitBreaker:
 class HealthMonitor:
     """Heartbeat prober + auto-heal driver for one :class:`ClusterArray`.
 
-    Constructing the monitor installs a breaker per column on
-    ``array.breakers``.  Drive it either with the background loop
-    (:meth:`start` / :meth:`stop`) or, in deterministic tests, by
-    calling :meth:`probe_once` / :meth:`heal` directly.
+    Constructing the monitor installs a breaker per node on
+    ``array.breakers``; nodes that join later get one on their first
+    probe.  Each round probes every non-LEFT node of the array's
+    membership table: ``miss_threshold`` consecutive misses ``mark_dead``
+    the node, and an answering probe promotes a JOINING node and revives
+    a DEAD one (``mark_live``).  ``on_change(epoch)`` fires after a round
+    that changed the table, so a rebalancer can wake up.  Drive it either
+    with the background loop (:meth:`start` / :meth:`stop`) or, in
+    deterministic tests, by calling :meth:`probe_once` / :meth:`heal`
+    directly.
 
     ``spare_provider`` is an async callable ``column -> address`` that
     produces a blank replacement node (e.g.
     :meth:`LocalCluster.start_replacement`); ``on_rebuilt`` is called
     with the column after the rebuild repoints the array (e.g.
-    :meth:`LocalCluster.promote_replacement`).  Without a provider the
-    monitor only observes.
+    :meth:`LocalCluster.promote_replacement`).  Only a DEAD node that
+    holds one whole column (the fixed ``k + 2`` layout) heals this way;
+    on a larger pool the :class:`~repro.cluster.rebalance.Rebalancer`
+    re-places a dead node's strips.  Without a provider the monitor
+    only observes.
     """
 
     def __init__(
@@ -164,39 +177,51 @@ class HealthMonitor:
         spare_provider=None,
         on_rebuilt=None,
         rebuild_batch: int = 16,
+        on_change=None,
     ) -> None:
         self.array = array
+        self.membership = array.membership
         self.clock = array.clock
         self.interval = float(interval)
         self.miss_threshold = int(miss_threshold)
         self.probe_policy = RetryPolicy(attempts=1, timeout=float(probe_timeout))
+        self.failure_threshold = int(failure_threshold)
+        self.reset_timeout = float(reset_timeout)
+        self.min_open_interval = float(min_open_interval)
         self.spare_provider = spare_provider
         self.on_rebuilt = on_rebuilt
         self.rebuild_batch = int(rebuild_batch)
-        n = array.code.n_cols
-        self.misses = [0] * n
-        self.failed = [False] * n
+        self.on_change = on_change
+        self.misses: dict[str, int] = {}
         self.healing: set[int] = set()
-        array.breakers = [
-            CircuitBreaker(
-                self.clock,
-                failure_threshold=failure_threshold,
-                reset_timeout=reset_timeout,
-                min_open_interval=min_open_interval,
-                metrics=array.metrics,
-            )
-            for _ in range(n)
-        ]
+        array.breakers = {
+            node_id: self._new_breaker() for node_id in self.membership.probed()
+        }
         self._task: asyncio.Task | None = None
+
+    def _new_breaker(self) -> CircuitBreaker:
+        return CircuitBreaker(
+            self.clock,
+            failure_threshold=self.failure_threshold,
+            reset_timeout=self.reset_timeout,
+            min_open_interval=self.min_open_interval,
+            metrics=self.array.metrics,
+        )
+
+    def _breaker(self, node_id: str) -> CircuitBreaker:
+        breakers = self.array.breakers
+        if node_id not in breakers:
+            breakers[node_id] = self._new_breaker()
+        return breakers[node_id]
 
     # -- probing -------------------------------------------------------------
 
-    def _probe_client(self, column: int) -> NodeClient:
+    def _probe_client(self, node_id: str) -> NodeClient:
         # Rebuilt per probe so replacements are picked up automatically;
         # shares the array's seams (and metrics) for determinism.
         array = self.array
         return NodeClient(
-            array.clients[column].address,
+            self.membership.address_of(node_id),
             policy=self.probe_policy,
             metrics=array.metrics,
             transport=array.transport,
@@ -204,44 +229,54 @@ class HealthMonitor:
             tracer=array.tracer,
         )
 
-    async def probe_once(self) -> list[bool]:
-        """One heartbeat round; returns per-column liveness.
+    async def probe_once(self) -> dict[str, bool]:
+        """One heartbeat round; returns per-node liveness verdicts.
 
-        Updates miss counters and feeds the breakers, then marks any
-        column over the miss threshold as failed (auto-heal is
-        :meth:`heal`'s job, so deterministic tests can split the two).
+        Updates miss counters, feeds the breakers and renders the
+        table verdicts (auto-heal is :meth:`heal`'s job, so
+        deterministic tests can split the two).
         """
-        array = self.array
-        cols = range(array.code.n_cols)
+        table = self.membership
+        metrics = self.array.metrics
+        targets = table.probed()
+        epoch_before = table.epoch
 
-        async def probe(col: int) -> bool:
+        async def probe(node_id: str) -> bool:
             try:
-                await self._probe_client(col).request("ping")
+                await self._probe_client(node_id).request("ping")
             except ClusterError:
                 return False
             return True
 
-        alive = list(await asyncio.gather(*(probe(c) for c in cols)))
-        for col, ok in zip(cols, alive):
-            breaker = array.breakers[col]
+        alive = dict(
+            zip(targets, await asyncio.gather(*(probe(n) for n in targets)))
+        )
+        for node_id, ok in alive.items():
+            breaker = self._breaker(node_id)
+            state = table.state_of(node_id)
             if ok:
-                self.misses[col] = 0
-                if self.failed[col] and col not in self.healing:
-                    self.failed[col] = False  # came back on its own
+                self.misses[node_id] = 0
                 breaker.record_success()
+                if state is NodeState.JOINING or state is NodeState.DEAD:
+                    table.mark_live(node_id)  # joined, or came back on its own
             else:
-                self.misses[col] += 1
+                self.misses[node_id] = self.misses.get(node_id, 0) + 1
                 breaker.record_failure()
-                array.metrics.counter("heartbeat_misses").inc()
-                if self.misses[col] >= self.miss_threshold and not self.failed[col]:
-                    self.failed[col] = True
-                    array.metrics.counter("columns_failed").inc()
+                metrics.counter("heartbeat_misses").inc()
+                if (
+                    self.misses[node_id] >= self.miss_threshold
+                    and state is not NodeState.DEAD
+                ):
+                    table.mark_dead(node_id)
+                    metrics.counter("nodes_dead").inc()
+        if table.epoch != epoch_before and self.on_change is not None:
+            self.on_change(table.epoch)
         return alive
 
     # -- healing -------------------------------------------------------------
 
     async def heal(self) -> list[int]:
-        """Rebuild every failed column onto a spare; returns columns healed.
+        """Rebuild every dead node's column onto a spare; returns columns healed.
 
         Sequential by design: RAID-6 tolerates two losses, and a
         rebuild already reads every surviving column.
@@ -249,8 +284,15 @@ class HealthMonitor:
         if self.spare_provider is None:
             return []
         healed: list[int] = []
-        for col, bad in enumerate(self.failed):
-            if not bad or col in self.healing:
+        for col in range(self.array.code.n_cols):
+            try:
+                node_id = self.array.column_node(col)
+            except ValueError:
+                continue  # scattered column: the rebalancer's job
+            if (
+                self.membership.state_of(node_id) is not NodeState.DEAD
+                or col in self.healing
+            ):
                 continue
             self.healing.add(col)
             try:
@@ -258,16 +300,15 @@ class HealthMonitor:
                 scheduler = RebuildScheduler(
                     self.array, batch_stripes=self.rebuild_batch
                 )
+                # Repoints the node's id at the spare, marks it LIVE and
+                # resets its breaker (the flap guard must not keep a
+                # brand-new node short-circuited).
                 await scheduler.rebuild_column(col, address)
                 if self.on_rebuilt is not None:
                     self.on_rebuilt(col)
             finally:
                 self.healing.discard(col)
-            self.failed[col] = False
-            self.misses[col] = 0
-            # reset(), not record_success(): the column is a brand-new
-            # node, so the flap guard must not keep it short-circuited.
-            self.array.breakers[col].reset()
+            self.misses[node_id] = 0
             self.array.metrics.counter("columns_healed").inc()
             healed.append(col)
         return healed
@@ -282,7 +323,7 @@ class HealthMonitor:
         async def loop() -> None:
             while True:
                 await self.probe_once()
-                if any(self.failed):
+                if self.membership.counts()[NodeState.DEAD.value]:
                     await self.heal()
                 await self.clock.sleep(self.interval)
 
@@ -301,16 +342,17 @@ class HealthMonitor:
     # -- introspection -------------------------------------------------------
 
     def status(self) -> dict:
-        """Operator view: per-column liveness, breaker state, healing."""
+        """Operator view: per-node state, misses, breaker."""
         return {
-            "columns": [
+            "epoch": self.membership.epoch,
+            "nodes": [
                 {
-                    "column": col,
-                    "misses": self.misses[col],
-                    "failed": self.failed[col],
-                    "healing": col in self.healing,
-                    "breaker": self.array.breakers[col].state.value,
+                    **entry.to_dict(),
+                    "misses": self.misses.get(node_id, 0),
+                    "breaker": self.array.breakers[node_id].state.value
+                    if node_id in self.array.breakers
+                    else "closed",
                 }
-                for col in range(self.array.code.n_cols)
-            ]
+                for node_id, entry in sorted(self.membership.nodes.items())
+            ],
         }

@@ -1,12 +1,20 @@
 """Spin up a whole cluster in one process (tests, examples, demos).
 
-:class:`LocalCluster` owns ``k + 2`` :class:`~repro.cluster.node.StripNode`
-servers on loopback ephemeral ports -- one per column -- plus the
-lifecycle verbs the failure drills need: stop a node (simulating a
-machine loss), start a blank replacement for a column (the rebuild
-target), and tear everything down.  Being in-process, tests can also
-reach into ``cluster.nodes[c].faults`` / ``.disk`` directly instead of
+:class:`LocalCluster` owns a pool of :class:`~repro.cluster.node.StripNode`
+servers on loopback ephemeral ports plus the
+:class:`~repro.cluster.membership.MembershipTable` that names them
+(``nodes[i]`` is node id ``"n<i>"``), and the lifecycle verbs the
+failure drills need: stop a node (simulating a machine loss), restart
+it, start a blank replacement for a column (the rebuild target), grow
+the pool, and tear everything down.  Being in-process, tests can also
+reach into ``cluster.nodes[i].faults`` / ``.disk`` directly instead of
 going through the ``fault`` verb.
+
+The default pool is ``k + 2`` nodes, where arrays get the fixed layout:
+``nodes[c]`` holds column *c* of every stripe.  A larger pool
+(``n_nodes``) places each stripe by rendezvous hashing, and churn
+drills -- :meth:`add_node`, drains and rebalancing -- move strips
+between nodes.
 """
 
 from __future__ import annotations
@@ -15,17 +23,19 @@ import asyncio
 import random
 
 from repro.cluster.client import ClusterArray, RetryPolicy
+from repro.cluster.health import HealthMonitor
+from repro.cluster.membership import MembershipTable
 from repro.cluster.node import StripNode
 from repro.codes.base import RAID6Code
 from repro.obs.tracing import Tracer
 from repro.sim.clock import Clock
 from repro.sim.transport import Transport
 
-__all__ = ["LocalCluster", "ElasticLocalCluster"]
+__all__ = ["LocalCluster"]
 
 
 class LocalCluster:
-    """``k + 2`` loopback strip nodes for one code geometry.
+    """A pool of ``n_nodes >= k + 2`` loopback strip nodes (default ``k + 2``).
 
     ``transport``/``clock`` default to real sockets and the event-loop
     clock; pass a :class:`~repro.sim.transport.MemoryTransport` and
@@ -34,37 +44,63 @@ class LocalCluster:
     :class:`~repro.obs.tracing.Tracer` is threaded into every node (and
     into arrays built via :meth:`array`), so one trace shows client
     RPCs and node dispatches interleaved on one timeline.
+
+    Drill methods take a node as its position in :attr:`nodes` (the
+    column, on the default layout) or as its membership id.
     """
 
     def __init__(
         self,
         code: RAID6Code,
         n_stripes: int,
+        n_nodes: int | None = None,
         *,
         host: str = "127.0.0.1",
         transport: Transport | None = None,
         clock: Clock | None = None,
         tracer: Tracer | None = None,
     ) -> None:
+        n_nodes = code.n_cols if n_nodes is None else int(n_nodes)
+        if n_nodes < code.n_cols:
+            raise ValueError(
+                f"need at least {code.n_cols} nodes (k+2), got {n_nodes}"
+            )
         self.code = code
         self.n_stripes = int(n_stripes)
         self.host = host
         self.transport = transport
         self.clock = clock
         self.tracer = tracer
-        strip_words = code.rows * (code.element_size // 8)
-        self.nodes: list[StripNode] = [
-            StripNode(col, n_stripes, strip_words, host=host,
-                      transport=transport, clock=clock, tracer=tracer)
-            for col in range(code.n_cols)
-        ]
+        self.membership = MembershipTable()
+        self.nodes: list[StripNode] = []
+        for _ in range(n_nodes):
+            self.nodes.append(self._new_node(len(self.nodes)))
         #: replacement nodes started via :meth:`start_replacement`
         self.replacements: dict[int, StripNode] = {}
+
+    def _new_node(self, index: int) -> StripNode:
+        return StripNode(
+            index, self.n_stripes, self.code.rows * (self.code.element_size // 8),
+            host=self.host, transport=self.transport, clock=self.clock,
+            tracer=self.tracer,
+        )
+
+    @staticmethod
+    def _index(node: int | str) -> int:
+        """Position in :attr:`nodes` of an index or a node id (``"n3"``)."""
+        return int(node[1:]) if isinstance(node, str) else int(node)
+
+    def node(self, node: int | str) -> StripNode:
+        """The :class:`StripNode` at an index or with a node id."""
+        return self.nodes[self._index(node)]
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> list[tuple[str, int]]:
+        """Start every node and admit it LIVE; returns their addresses."""
         await asyncio.gather(*(n.start() for n in self.nodes))
+        for i, node in enumerate(self.nodes):
+            self.membership.join(f"n{i}", node.address, live=True)
         return self.addresses
 
     async def stop(self) -> None:
@@ -82,33 +118,48 @@ class LocalCluster:
     def addresses(self) -> list[tuple[str, int]]:
         return [n.address for n in self.nodes]
 
-    # -- failure drills ----------------------------------------------------
+    # -- failure and churn drills --------------------------------------------
 
-    async def stop_node(self, column: int) -> None:
-        """Take one column's node offline (machine loss)."""
-        await self.nodes[column].stop()
+    async def stop_node(self, node: int | str) -> None:
+        """Take one node offline (machine loss); membership learns via
+        the heartbeat monitor (or an explicit ``mark_dead``)."""
+        await self.node(node).stop()
 
-    async def restart_node(self, column: int) -> tuple[str, int]:
+    async def restart_node(self, node: int | str) -> tuple[str, int]:
         """Bring a stopped node back (reboot after a crash).
 
         Durable state -- disk contents, intent log, checksum sidecars
         -- survives in the :class:`StripNode` object; only the
-        listening socket was lost.  Returns the (new) address.
+        listening socket was lost.  The fresh address is recorded in
+        the membership table (same id, same state) and returned.
         """
-        return await self.nodes[column].start()
+        index = self._index(node)
+        address = await self.nodes[index].start()
+        self.membership.set_address(f"n{index}", address)
+        return address
+
+    async def add_node(self, *, live: bool = True) -> str:
+        """Start one blank node and join it; returns its id.
+
+        ``live=False`` parks it in JOINING for heartbeat-promotion
+        drills; the default admits it straight into the placement pool.
+        """
+        node = self._new_node(len(self.nodes))
+        self.nodes.append(node)
+        node_id = f"n{len(self.nodes) - 1}"
+        await node.start()
+        self.membership.join(node_id, node.address, live=live)
+        return node_id
 
     async def start_replacement(self, column: int) -> tuple[str, int]:
         """Start a blank node for ``column``; returns its address.
 
-        The caller hands the address to the rebuild scheduler; once the
-        rebuild repoints the array, :attr:`nodes` is updated so later
-        drills target the live replacement.
+        The caller hands the address to the rebuild scheduler, which
+        moves the column's node id onto it; :meth:`promote_replacement`
+        then makes it ``nodes[column]`` so later drills target the live
+        replacement.
         """
-        node = StripNode(
-            column, self.n_stripes, self.nodes[column].disk.strip_words,
-            host=self.host, transport=self.transport, clock=self.clock,
-            tracer=self.tracer,
-        )
+        node = self._new_node(column)
         await node.start()
         self.replacements[column] = node
         return node.address
@@ -119,7 +170,7 @@ class LocalCluster:
 
     # -- convenience -------------------------------------------------------
 
-    def auto_healer(self, array: ClusterArray, **kwargs) -> "HealthMonitor":
+    def auto_healer(self, array: ClusterArray, **kwargs) -> HealthMonitor:
         """A :class:`~repro.cluster.health.HealthMonitor` wired for self-heal.
 
         Spares come from :meth:`start_replacement`; after each rebuild
@@ -127,8 +178,6 @@ class LocalCluster:
         Extra ``kwargs`` pass through to the monitor (thresholds,
         intervals, breaker tuning).
         """
-        from repro.cluster.health import HealthMonitor
-
         return HealthMonitor(
             array,
             spare_provider=self.start_replacement,
@@ -143,142 +192,9 @@ class LocalCluster:
         rng: random.Random | None = None,
         hedge_after: float | None = None,
     ) -> ClusterArray:
-        """A :class:`ClusterArray` wired to this cluster's nodes."""
+        """A :class:`ClusterArray` over this cluster's membership table."""
         return ClusterArray(
-            self.code, self.addresses, self.n_stripes, policy=policy,
-            transport=self.transport, clock=self.clock, rng=rng,
-            tracer=self.tracer, hedge_after=hedge_after,
-        )
-
-
-class ElasticLocalCluster:
-    """A pool of ``n_nodes >= k + 2`` loopback nodes plus a membership table.
-
-    The elastic twin of :class:`LocalCluster`: nodes are identities
-    (``"n0"``, ``"n1"``, ...) rather than columns, the shared
-    :class:`~repro.cluster.membership.MembershipTable` is the routing
-    authority, and churn drills mutate the pool -- :meth:`add_node`,
-    :meth:`stop_node`, :meth:`restart_node` -- instead of swapping a
-    fixed column's machine.  Arrays built via :meth:`array` route every
-    (stripe, column) through placement over this table.
-    """
-
-    def __init__(
-        self,
-        code: RAID6Code,
-        n_stripes: int,
-        n_nodes: int | None = None,
-        *,
-        host: str = "127.0.0.1",
-        transport: Transport | None = None,
-        clock: Clock | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        from repro.cluster.membership import MembershipTable
-
-        self.code = code
-        self.n_stripes = int(n_stripes)
-        self.host = host
-        self.transport = transport
-        self.clock = clock
-        self.tracer = tracer
-        self.membership = MembershipTable()
-        self.nodes: dict[str, StripNode] = {}
-        self._next_id = 0
-        self._strip_words = code.rows * (code.element_size // 8)
-        n_nodes = code.n_cols if n_nodes is None else int(n_nodes)
-        if n_nodes < code.n_cols:
-            raise ValueError(
-                f"need at least {code.n_cols} nodes (k+2), got {n_nodes}"
-            )
-        for _ in range(n_nodes):
-            self._new_node()
-
-    def _new_node(self) -> str:
-        node_id = f"n{self._next_id}"
-        self._next_id += 1
-        self.nodes[node_id] = StripNode(
-            self._next_id - 1, self.n_stripes, self._strip_words, host=self.host,
-            transport=self.transport, clock=self.clock, tracer=self.tracer,
-        )
-        return node_id
-
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> dict[str, tuple[str, int]]:
-        """Start every node and admit it LIVE; returns id -> address."""
-        await asyncio.gather(*(n.start() for n in self.nodes.values()))
-        for node_id in sorted(self.nodes):
-            self.membership.join(node_id, self.nodes[node_id].address, live=True)
-        return {nid: n.address for nid, n in self.nodes.items()}
-
-    async def stop(self) -> None:
-        live = [n for n in self.nodes.values() if n.running]
-        await asyncio.gather(*(n.stop() for n in live))
-
-    async def __aenter__(self) -> "ElasticLocalCluster":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
-    # -- churn drills ------------------------------------------------------
-
-    async def add_node(self, *, live: bool = True) -> str:
-        """Start one blank node and join it; returns its id.
-
-        ``live=False`` parks it in JOINING for heartbeat-promotion
-        drills; the default admits it straight into the placement pool.
-        """
-        node_id = self._new_node()
-        await self.nodes[node_id].start()
-        self.membership.join(node_id, self.nodes[node_id].address, live=live)
-        return node_id
-
-    async def stop_node(self, node_id: str) -> None:
-        """Take one node offline (machine loss); membership learns via
-        the heartbeat monitor (or an explicit ``mark_dead``)."""
-        await self.nodes[node_id].stop()
-
-    async def restart_node(self, node_id: str) -> tuple[str, int]:
-        """Reboot a stopped node; durable state survives in the object.
-
-        The fresh ephemeral port is recorded in the table (same id, new
-        address) without changing the node's state.
-        """
-        address = await self.nodes[node_id].start()
-        entry = self.membership.nodes.get(node_id)
-        if entry is not None:
-            entry.address = (address[0], int(address[1]))
-        return address
-
-    # -- convenience -------------------------------------------------------
-
-    def array(
-        self,
-        *,
-        policy: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        hedge_after: float | None = None,
-    ):
-        """An :class:`~repro.cluster.elastic.ElasticArray` over this pool."""
-        from repro.cluster.elastic import ElasticArray
-
-        return ElasticArray(
             self.code, self.membership, self.n_stripes, policy=policy,
             transport=self.transport, clock=self.clock, rng=rng,
             tracer=self.tracer, hedge_after=hedge_after,
         )
-
-    def monitor(self, array, **kwargs):
-        """A :class:`~repro.cluster.membership.MembershipMonitor` for ``array``."""
-        from repro.cluster.membership import MembershipMonitor
-
-        return MembershipMonitor(array, **kwargs)
-
-    def rebalancer(self, array, **kwargs):
-        """A :class:`~repro.cluster.rebalance.Rebalancer` for ``array``."""
-        from repro.cluster.rebalance import Rebalancer
-
-        return Rebalancer(array, **kwargs)

@@ -1,11 +1,11 @@
-"""Epoch-numbered cluster membership: node states, table, heartbeat monitor.
+"""Epoch-numbered cluster membership: node states and the node table.
 
 The membership table is the single authority on *who is in the cluster
 and in what role*.  Every mutation bumps a monotonically increasing
 **epoch**; routing decisions (placement, client retries, gateway extent
 resolution) are always made "as of epoch E", and a client that loses a
 race with a membership change re-resolves at the new epoch and retries
-instead of failing (see ``ElasticArray._column_request``).
+instead of failing (see ``ClusterArray._column_request``).
 
 Node life cycle::
 
@@ -29,28 +29,21 @@ is ``LIVE`` + ``DRAINING``.  The distinction is what makes drains
 graceful: foreground traffic keeps flowing to a draining node while the
 migrator empties it.
 
-:class:`MembershipMonitor` is the heartbeat prober -- the elastic twin
-of :class:`~repro.cluster.health.HealthMonitor`, reusing the same
-one-shot-probe + consecutive-miss pattern and per-node circuit
-breakers, but keyed by node id instead of column index and feeding
-verdicts into the table (``mark_dead`` / auto-revive).
+The heartbeat verdicts come from
+:class:`~repro.cluster.health.HealthMonitor`: consecutive missed probes
+``mark_dead`` a node, and an answering probe marks it live again.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
 from dataclasses import dataclass
-
-from repro.cluster.client import ClusterError, NodeClient, RetryPolicy
-from repro.cluster.health import CircuitBreaker
 
 __all__ = [
     "NodeState",
     "NodeEntry",
     "MembershipError",
     "MembershipTable",
-    "MembershipMonitor",
 ]
 
 
@@ -182,6 +175,16 @@ class MembershipTable:
             node_id, frozenset({NodeState.DRAINING, NodeState.DEAD}), NodeState.LEFT
         )
 
+    def set_address(self, node_id: str, address: tuple[str, int]) -> None:
+        """Record a node's new address (a restart on a fresh port, or a
+        replacement machine taking over the id).  The node's identity
+        and state are unchanged, so the epoch does not move.
+        """
+        entry = self.nodes.get(node_id)
+        if entry is None:
+            raise MembershipError(f"unknown node {node_id!r}")
+        entry.address = (address[0], int(address[1]))
+
     # -- views ---------------------------------------------------------------
 
     def state_of(self, node_id: str) -> NodeState:
@@ -253,141 +256,3 @@ class MembershipTable:
     def __repr__(self) -> str:
         counts = {k: v for k, v in self.counts().items() if v}
         return f"MembershipTable(epoch={self.epoch}, {counts})"
-
-
-class MembershipMonitor:
-    """Heartbeat prober for an :class:`~repro.cluster.elastic.ElasticArray`.
-
-    Probes every non-LEFT node each round with a one-shot ping (the
-    cadence is the retry loop, mirroring
-    :class:`~repro.cluster.health.HealthMonitor`), maintains a
-    :class:`CircuitBreaker` per node id on ``array.node_breakers``, and
-    drives table transitions: ``miss_threshold`` consecutive misses
-    mark a node DEAD; a successful probe promotes JOINING to LIVE and
-    revives DEAD nodes.  ``on_change(epoch)`` fires after any table
-    mutation so a rebalancer can wake up.
-    """
-
-    def __init__(
-        self,
-        array,
-        *,
-        interval: float = 1.0,
-        miss_threshold: int = 3,
-        probe_timeout: float = 0.5,
-        failure_threshold: int = 3,
-        reset_timeout: float = 5.0,
-        min_open_interval: float = 0.0,
-        on_change=None,
-    ) -> None:
-        self.array = array
-        self.membership: MembershipTable = array.membership
-        self.clock = array.clock
-        self.interval = float(interval)
-        self.miss_threshold = int(miss_threshold)
-        self.probe_policy = RetryPolicy(attempts=1, timeout=float(probe_timeout))
-        self.failure_threshold = int(failure_threshold)
-        self.reset_timeout = float(reset_timeout)
-        self.min_open_interval = float(min_open_interval)
-        self.on_change = on_change
-        self.misses: dict[str, int] = {}
-        self._task: asyncio.Task | None = None
-
-    def _breaker(self, node_id: str) -> CircuitBreaker:
-        breakers = self.array.node_breakers
-        if node_id not in breakers:
-            breakers[node_id] = CircuitBreaker(
-                self.clock,
-                failure_threshold=self.failure_threshold,
-                reset_timeout=self.reset_timeout,
-                min_open_interval=self.min_open_interval,
-                metrics=self.array.metrics,
-            )
-        return breakers[node_id]
-
-    def _probe_client(self, node_id: str) -> NodeClient:
-        array = self.array
-        return NodeClient(
-            self.membership.address_of(node_id),
-            policy=self.probe_policy,
-            metrics=array.metrics,
-            transport=array.transport,
-            clock=array.clock,
-            tracer=array.tracer,
-        )
-
-    async def probe_once(self) -> dict[str, bool]:
-        """One heartbeat round; returns per-node liveness verdicts."""
-        table = self.membership
-        targets = table.probed()
-        epoch_before = table.epoch
-
-        async def probe(node_id: str) -> bool:
-            try:
-                await self._probe_client(node_id).request("ping")
-            except ClusterError:
-                return False
-            return True
-
-        alive = dict(
-            zip(targets, await asyncio.gather(*(probe(n) for n in targets)))
-        )
-        for node_id, ok in alive.items():
-            breaker = self._breaker(node_id)
-            state = table.state_of(node_id)
-            if ok:
-                self.misses[node_id] = 0
-                breaker.record_success()
-                if state is NodeState.JOINING or state is NodeState.DEAD:
-                    table.mark_live(node_id)
-            else:
-                self.misses[node_id] = self.misses.get(node_id, 0) + 1
-                breaker.record_failure()
-                self.array.metrics.counter("heartbeat_misses").inc()
-                if (
-                    self.misses[node_id] >= self.miss_threshold
-                    and state is not NodeState.DEAD
-                ):
-                    table.mark_dead(node_id)
-                    self.array.metrics.counter("nodes_dead").inc()
-        if table.epoch != epoch_before and self.on_change is not None:
-            self.on_change(table.epoch)
-        return alive
-
-    def start(self) -> asyncio.Task:
-        if self._task is not None and not self._task.done():
-            raise RuntimeError("membership loop already running")
-
-        async def loop() -> None:
-            while True:
-                await self.probe_once()
-                await self.clock.sleep(self.interval)
-
-        self._task = asyncio.get_running_loop().create_task(loop())
-        return self._task
-
-    async def stop(self) -> None:
-        task, self._task = self._task, None
-        if task is not None and not task.done():
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-
-    def status(self) -> dict:
-        """Operator view: per-node state, misses, breaker."""
-        table = self.membership
-        return {
-            "epoch": table.epoch,
-            "nodes": [
-                {
-                    **entry.to_dict(),
-                    "misses": self.misses.get(node_id, 0),
-                    "breaker": self._breaker(node_id).state.value
-                    if node_id in self.array.node_breakers
-                    else "closed",
-                }
-                for node_id, entry in sorted(table.nodes.items())
-            ],
-        }

@@ -1,6 +1,6 @@
 """Background stripe migration: drain/fill nodes under a throttle.
 
-The rebalancer converges :attr:`ElasticArray.locations` (where stripes
+The rebalancer converges :attr:`ClusterArray.locations` (where stripes
 *are*) toward :class:`~repro.cluster.placement.PlacementMap` (where the
 current membership epoch says they *should* be).  One stripe's
 migration is a small two-phase transaction per moving column, reusing
@@ -47,7 +47,6 @@ import zlib
 import numpy as np
 
 from repro.cluster.client import ClusterArray, ClusterError
-from repro.cluster.elastic import ElasticArray
 from repro.cluster.membership import MembershipError, NodeState
 from repro.cluster.txn import TxnCrashPoint
 from repro.sim.clock import Clock
@@ -95,7 +94,7 @@ class TokenBucket:
 
 
 class Rebalancer:
-    """Throttled stripe migrator for one :class:`ElasticArray`.
+    """Throttled stripe migrator for one :class:`ClusterArray`.
 
     Drive it with :meth:`run_until_converged` (tests, drains) or the
     background loop (:meth:`start` / :meth:`stop`).  ``crash`` is a
@@ -106,7 +105,7 @@ class Rebalancer:
 
     def __init__(
         self,
-        array: ElasticArray,
+        array: ClusterArray,
         *,
         rate_bytes: float | None = None,
         burst_bytes: float | None = None,
@@ -271,7 +270,7 @@ class Rebalancer:
             code.decode(buf, erasures)
             array.metrics.counter("decodes").inc()
         else:
-            buf = await ClusterArray.read_stripe(array, stripe)
+            buf = await array._read_stripe(stripe)
         code.encode(buf)
 
         payloads: dict[int, bytes] = {}
@@ -325,7 +324,7 @@ class Rebalancer:
 
         # 5. decode-path verification through the new route, then release
         if self.verify_reads:
-            check = await ClusterArray.read_stripe(array, stripe)
+            check = await array._read_stripe(stripe)
             if bytes(array._stripe_payload(check)) != bytes(
                 array._stripe_payload(buf)
             ):

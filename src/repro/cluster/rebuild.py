@@ -89,21 +89,25 @@ class RebuildScheduler:
         table's join queue) instead of a hard-wired spare.  The
         replacement node must already be listening (a blank
         :class:`~repro.cluster.node.StripNode` of the same geometry).
-        On success the array's column is repointed at it, restoring
-        full redundancy.  Returns the number of stripes rebuilt.
+        On success the node that held the column takes the new
+        address (:meth:`ClusterArray.replace_node`), restoring full
+        redundancy.  Returns the number of stripes rebuilt.
 
-        Elastic arrays do not use column rebuilds at all: a dead node
-        there is healed by the rebalancer re-placing its strips
+        The column must live on one node for every stripe -- the fixed
+        ``k + 2`` layout -- or :class:`ValueError` is raised.  On a
+        larger pool a dead node's strips are scattered over columns; the
+        :class:`~repro.cluster.rebalance.Rebalancer` re-places them
         (decode on read, placement-chosen targets per stripe).
         """
         array = self.array
         code = array.code
+        if not 0 <= column < code.n_cols:
+            raise ValueError(f"column {column} out of range [0, {code.n_cols})")
+        array.column_node(column)
         if address is None:
             if target_provider is None:
                 raise ValueError("need an address or a target_provider")
             address = await target_provider(column)
-        if not 0 <= column < code.n_cols:
-            raise ValueError(f"column {column} out of range [0, {code.n_cols})")
         metrics = array.metrics
         metrics.counter("rebuild_stripes_total").inc(array.n_stripes)
         survivors = [c for c in range(code.n_cols) if c != column]

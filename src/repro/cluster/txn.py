@@ -107,10 +107,10 @@ class TwoPhaseWriter:
         self, column: int, verb: str, header: dict, payload: bytes = b""
     ) -> dict:
         self.crash.step()
-        # The stripe rides along for routing: on an elastic array the
-        # (column, stripe) pair resolves to a node via placement.
+        # The stripe rides along for routing: the (column, stripe) pair
+        # resolves to a node through the array's holder map.
         reply, _ = await self.array._column_request(
-            column, verb, header, payload, stripe=header.get("stripe")
+            column, verb, header, payload, stripe=header["stripe"]
         )
         return reply
 
@@ -177,9 +177,7 @@ class TwoPhaseWriter:
             array.dirty_stripes.pop(stripe, None)
         return skipped
 
-    async def _abort(
-        self, txn: str, columns: list[int], *, stripe: int | None = None
-    ) -> None:
+    async def _abort(self, txn: str, columns: list[int], *, stripe: int) -> None:
         for col in columns:
             try:
                 await self._rpc(col, "abort", {"txn": txn, "stripe": stripe})
@@ -191,44 +189,50 @@ class TwoPhaseWriter:
     async def recover(self) -> dict:
         """Resolve every pending intent left by crashed writers.
 
-        Scans all columns for logged intents, then decides each
+        Scans every serving node for logged intents, then decides each
         transaction the presumed-abort way: any participant in state
         ``committed`` means the coordinator reached phase 2, so the
-        rest roll forward; otherwise everyone rolls back.  Unreachable
-        nodes are skipped and picked up by the next pass (the verbs
-        are idempotent).  Returns
+        rest roll forward; otherwise everyone rolls back.  Migration
+        intents (``mig-...``) belong to
+        :meth:`~repro.cluster.rebalance.Rebalancer.recover` and are left
+        alone.  Unreachable nodes are skipped and picked up by the next
+        pass (the verbs are idempotent).  Returns
         ``{"rolled_forward": [...], "rolled_back": [...]}`` of txn ids.
         """
         array = self.array
-        cols = list(range(array.code.n_cols))
+        nodes = array.membership.serving()
 
-        async def intents_of(col: int) -> list[dict]:
+        async def intents_of(node_id: str) -> list[dict]:
             try:
-                reply, _ = await array.clients[col].request("intents")
+                reply, _ = await array.client_for_node(node_id).request("intents")
             except ClusterError:
                 return []
             return list(reply.get("txns", ()))
 
-        found = await asyncio.gather(*(intents_of(c) for c in cols))
+        found = await asyncio.gather(*(intents_of(n) for n in nodes))
         pending: dict[str, dict] = {}
-        for col, recs in zip(cols, found):
+        for node_id, recs in zip(nodes, found):
             for rec in recs:
+                if rec["txn"].startswith("mig-"):
+                    continue
                 entry = pending.setdefault(
                     rec["txn"],
                     {"stripe": int(rec["stripe"]),
-                     "part": [int(c) for c in rec["part"]] or cols,
+                     "part": [int(c) for c in rec["part"]]
+                     or list(range(array.code.n_cols)),
                      "holders": []},
                 )
-                entry["holders"].append(col)
+                entry["holders"].append(node_id)
 
         rolled_forward: list[str] = []
         rolled_back: list[str] = []
         for txn in sorted(pending):
             entry = pending[txn]
+            holders = array.holders(entry["stripe"])
             commit = False
             for col in entry["part"]:
                 try:
-                    reply, _ = await array.clients[col].request(
+                    reply, _ = await array.client_for_node(holders[col]).request(
                         "txn-status", {"txn": txn}
                     )
                 except ClusterError:
@@ -237,13 +241,15 @@ class TwoPhaseWriter:
                     commit = True
                     break
             verb = "commit" if commit else "abort"
-            for col in entry["holders"]:
+            for node_id in entry["holders"]:
                 try:
-                    await array.clients[col].request(verb, {"txn": txn})
+                    await array.client_for_node(node_id).request(verb, {"txn": txn})
                 except ClusterError:
                     continue  # next recovery pass finishes the job
-                if commit:
-                    array.dirty_stripes.get(entry["stripe"], set()).discard(col)
+                if commit and node_id in holders:
+                    array.dirty_stripes.get(entry["stripe"], set()).discard(
+                        holders.index(node_id)
+                    )
             (rolled_forward if commit else rolled_back).append(txn)
             array.metrics.counter(
                 "txn_rolled_forward" if commit else "txn_rolled_back"

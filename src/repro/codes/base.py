@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.engine import (
     Schedule,
-    CompiledSchedule,
     StreamingSchedule,
     compile_schedule,
     execute_bits,
@@ -177,13 +176,12 @@ class XorScheduleCode(RAID6Code):
 
     def __init__(self, k: int, *, element_size: int = 8, execution: str = "kernel") -> None:
         super().__init__(k, element_size=element_size)
-        if execution not in ("kernel", "fused", "streaming"):
+        if execution not in ("kernel", "streaming"):
             raise ValueError(
-                f"execution must be 'kernel', 'fused' or 'streaming', got {execution!r}"
+                f"execution must be 'kernel' or 'streaming', got {execution!r}"
             )
         #: "kernel" lowers the schedule to levelized bulk-XOR slice
-        #: kernels (fastest; see :mod:`repro.engine.kernels`); "fused"
-        #: runs each destination's accumulation as one XOR-reduce;
+        #: kernels (fastest; see :mod:`repro.engine.kernels`);
         #: "streaming" runs one region op per scheduled op, mirroring
         #: Jerasure's execution model -- use it when measured throughput
         #: should be proportional to schedule op counts, as in the
@@ -199,7 +197,7 @@ class XorScheduleCode(RAID6Code):
     def _compile(self, sched: Schedule):
         if self.execution == "streaming":
             return StreamingSchedule(sched)
-        return compile_schedule(sched, kernel=self.execution == "kernel")
+        return compile_schedule(sched)
 
     # -- schedule builders (subclass API) ----------------------------------
 

@@ -9,9 +9,9 @@ a *schedule*: an ordered list of copy/XOR operations on stripe cells
   correctness tests and XOR counting), or
 * on machine-word arrays (``uint64`` element buffers; used for
   throughput benchmarks, 64 interleaved codewords per word as in the
-  paper §II-A), either op-at-a-time (streaming), per-destination
-  (fused), or lowered to levelized bulk-XOR slice kernels
-  (:mod:`repro.engine.kernels` -- the native-speed data plane).
+  paper §II-A), either op-at-a-time (streaming) or lowered to
+  levelized bulk-XOR slice kernels (:mod:`repro.engine.kernels` --
+  the native-speed data plane).
 
 Keeping algorithms as schedule generators gives exact, implementation-
 independent XOR counts (a copy is free, each XOR'd source counts 1 --
@@ -24,7 +24,6 @@ from repro.engine.ops import XorOp, Schedule
 from repro.engine.executor import (
     execute_bits,
     execute_words,
-    CompiledSchedule,
     StreamingSchedule,
     compile_schedule,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "Schedule",
     "execute_bits",
     "execute_words",
-    "CompiledSchedule",
     "StreamingSchedule",
     "compile_schedule",
     "KernelOp",

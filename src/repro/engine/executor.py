@@ -1,4 +1,4 @@
-"""Schedule execution: bit-level reference and word-level fast paths.
+"""Schedule execution: bit-level reference and word-level paths.
 
 Two executors share one semantics:
 
@@ -6,17 +6,12 @@ Two executors share one semantics:
   ``(cols, rows)`` 0/1 array.  This is the reference implementation used
   by correctness tests and by anything that wants exact bit semantics.
 
-* :func:`execute_words` / :class:`CompiledSchedule` -- runs the schedule
-  over a stripe of machine-word elements ``buf[cols, rows, words]``.
-  For throughput, schedules are first *compiled*: runs of accumulates
-  into the same destination are fused into a single gather + XOR-reduce
-  so that the NumPy call count scales with the number of destination
-  cells instead of the number of XOR ops (the HPC guides' "vectorise the
-  inner loop" rule).  Fusion is a single program-order pass with
-  read/write hazard tracking, so any legal schedule -- including the
-  decoder's in-place syndrome updates, where a cell is produced, read by
-  another op, and then updated again -- executes identically to the
-  sequential reference.
+* :func:`execute_words` -- runs the schedule over a stripe of
+  machine-word elements ``buf[cols, rows, words]`` through
+  :func:`compile_schedule`, which lowers it to a
+  :class:`~repro.engine.kernels.KernelPlan` of levelized bulk-XOR slice
+  ops.  :class:`StreamingSchedule` is the op-at-a-time alternative that
+  mirrors Jerasure's execution model.
 
 The XOR *count* of a schedule is a property of the schedule itself
 (``Schedule.n_xors``), never of the execution strategy; compiling for
@@ -25,20 +20,15 @@ speed cannot change the complexity accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.engine.kernels import KernelPlan, compile_kernel
 from repro.engine.ops import Schedule
-from repro.obs.tracing import active_tracer
 
 __all__ = [
     "execute_bits",
     "execute_words",
     "compile_schedule",
-    "fuse_schedule",
-    "assign_levels",
-    "CompiledSchedule",
     "StreamingSchedule",
 ]
 
@@ -61,301 +51,16 @@ def execute_bits(schedule: Schedule, bits: np.ndarray) -> np.ndarray:
     return bits
 
 
-@dataclass
-class _Group:
-    """A fused run: ``dst <- (0 | dst) ^ src_0 ^ src_1 ^ ...``."""
+def compile_schedule(schedule: Schedule, *, validate: bool = False) -> KernelPlan:
+    """Lower a schedule to a :class:`~repro.engine.kernels.KernelPlan`.
 
-    dst: int  # flat cell index (col * rows + row)
-    srcs: list[int]
-    init_copy: bool  # True: first src overwrites dst; False: dst is live
-
-
-def assign_levels(groups: list[_Group]) -> list[tuple[int, _Group]]:
-    """Assign a dependency level to each fused group, in program order.
-
-    A group's level is strictly greater than the level of any group that
-    produced one of its inputs (RAW) and of any earlier group that read
-    or wrote its destination (WAR/WAW).  Consequence, relied on by every
-    level-at-once executor: **within one level no cell is both read and
-    written**, so the groups of a level may run in any order -- or as
-    one wide slice operation -- without changing the result.
+    The production fast path: contiguous-slice bulk XORs (see
+    :mod:`repro.engine.kernels`).  ``validate`` proves the emitted
+    kernel program cell-for-cell equivalent to the source schedule by
+    symbolic execution, raising
+    :class:`~repro.engine.verify.ScheduleViolation` on a lowering bug.
     """
-    write_level: dict[int, int] = {}  # cell -> level of its last writer
-    touch_level: dict[int, int] = {}  # cell -> last level reading/writing it
-    levelled: list[tuple[int, _Group]] = []
-    for g in groups:
-        lvl = 1
-        reads = list(g.srcs) if g.init_copy else [*g.srcs, g.dst]
-        for c in reads:
-            lvl = max(lvl, write_level.get(c, 0) + 1)
-        # WAR/WAW: run after anything that already touched our dst.
-        lvl = max(lvl, touch_level.get(g.dst, 0) + 1)
-        write_level[g.dst] = lvl
-        touch_level[g.dst] = max(touch_level.get(g.dst, 0), lvl)
-        for c in g.srcs:
-            touch_level[c] = max(touch_level.get(c, 0), lvl)
-        levelled.append((lvl, g))
-    return levelled
-
-
-class CompiledSchedule:
-    """A schedule lowered to levelized, batched gather/XOR-reduce steps.
-
-    Two-stage lowering:
-
-    1. *Fusion* (:func:`compile_schedule`): runs of accumulates into the
-       same destination become one group ``dst <- (0|dst) ^ xor(srcs)``,
-       ordered so that flush order is equivalent to program order.
-    2. *Levelization* (here): groups are assigned dependency levels
-       (a group must run strictly after any group producing one of its
-       inputs, and after any earlier group reading or writing its
-       destination).  Within a level, groups with the same source count
-       and init mode execute as **one** NumPy call chain -- a 2-D
-       gather, an XOR-reduce over the source axis, and a scatter to the
-       (necessarily distinct) destinations.
-
-    For an encode schedule this collapses thousands of element XORs
-    into ~half a dozen NumPy calls, so measured throughput reflects the
-    schedule's XOR *work* rather than interpreter dispatch overhead --
-    the property the paper's throughput comparison relies on.
-
-    Execution is per-group by default (``batched=False``): each group's
-    gather stays small enough to be cache-resident, which measures
-    faster on every stripe geometry we benchmarked than materialising
-    whole levels (a level-sized gather spills to DRAM and doubles
-    traffic).  The levelized batches remain available for callers that
-    want one-call-per-level execution on very small stripes.
-    """
-
-    def __init__(self, cols: int, rows: int, groups: list[_Group], *, batched: bool = False) -> None:
-        self.cols = cols
-        self.rows = rows
-        self.n_groups = len(groups)
-        self.batched = batched
-        self._groups: list[tuple[int, np.ndarray, bool]] = [
-            (g.dst, np.asarray(g.srcs, dtype=np.intp), g.init_copy) for g in groups
-        ]
-        self._batches = self._levelize(groups) if batched else None
-
-    @staticmethod
-    def _levelize(groups: list[_Group]) -> list[tuple[bool, np.ndarray, np.ndarray]]:
-        """Assign levels, then bucket by (level, n_srcs, init_copy).
-
-        Returns ``(init_copy, dsts[g], srcs[g, m])`` batches in
-        dependency-safe execution order.
-        """
-        levelled = assign_levels(groups)
-        buckets: dict[tuple[int, int, bool], list[_Group]] = {}
-        for lvl, g in levelled:
-            buckets.setdefault((lvl, len(g.srcs), g.init_copy), []).append(g)
-        batches = []
-        for (lvl, m, init_copy) in sorted(buckets):
-            members = buckets[(lvl, m, init_copy)]
-            dsts = np.array([g.dst for g in members], dtype=np.intp)
-            srcs = np.array([g.srcs for g in members], dtype=np.intp)
-            batches.append((init_copy, dsts, srcs))
-        return batches
-
-    def run(self, buf: np.ndarray) -> np.ndarray:
-        """Execute over ``buf[cols, rows, words]`` (in place)."""
-        if buf.shape[:2] != (self.cols, self.rows):
-            raise ValueError(
-                f"stripe shape {buf.shape[:2]} does not match schedule "
-                f"({self.cols}, {self.rows})"
-            )
-        flat = buf.reshape(self.cols * self.rows, -1)
-        if self._batches is not None:
-            for init_copy, dsts, srcs in self._batches:
-                if srcs.shape[1] == 1:
-                    acc = flat[srcs[:, 0]]
-                else:
-                    acc = np.bitwise_xor.reduce(flat[srcs], axis=1)
-                if init_copy:
-                    flat[dsts] = acc
-                else:
-                    flat[dsts] = flat[dsts] ^ acc
-            return buf
-        for dst, srcs, init_copy in self._groups:
-            if srcs.size == 1:
-                if init_copy:
-                    flat[dst] = flat[srcs[0]]
-                else:
-                    np.bitwise_xor(flat[dst], flat[srcs[0]], out=flat[dst])
-                continue
-            acc = np.bitwise_xor.reduce(flat[srcs], axis=0)
-            if init_copy:
-                flat[dst] = acc
-            else:
-                np.bitwise_xor(flat[dst], acc, out=flat[dst])
-        return buf
-
-
-def compile_schedule(
-    schedule: Schedule,
-    *,
-    batched: bool = False,
-    validate: bool = False,
-    kernel: bool = False,
-):
-    """Fuse a schedule into gather/reduce groups (see module docstring).
-
-    ``batched`` selects the levelized one-call-per-level execution of
-    :class:`CompiledSchedule` instead of the per-group default; both
-    strategies are semantically identical (the differential fuzzer in
-    :mod:`repro.sim` holds them to that).
-
-    ``kernel`` lowers further, to a :class:`~repro.engine.kernels.KernelPlan`
-    of contiguous-slice bulk XORs (see :mod:`repro.engine.kernels`) --
-    the production fast path.  ``validate`` applies to that lowering
-    too, proving the emitted kernel program cell-for-cell equivalent to
-    the source schedule.
-
-    ``validate`` additionally *proves* the lowering correct: the fused
-    group program (and, when ``batched``, the levelized batches) is
-    symbolically executed and its final state compared cell-for-cell
-    against the source schedule's -- a fusion or levelization bug
-    raises :class:`~repro.engine.verify.ScheduleViolation` at compile
-    time instead of surfacing as corrupt data.  Debug/fuzzing aid; adds
-    interpretation cost proportional to schedule length, so leave it
-    off on hot paths.
-
-    Hazard rules enforced during the single program-order pass:
-
-    * before an op *reads* cell ``c``: flush any open group producing
-      ``c`` (read-after-write);
-    * before an op *writes* cell ``c``: flush any open group producing
-      ``c`` that cannot absorb the op, and any open group *reading*
-      ``c`` (write-after-read);
-    * a copy into a destination with an open group starts a fresh group
-      (the old value is dead by definition of copy).
-    """
-    if kernel:
-        # Imported lazily: kernels builds on the fusion/levelization
-        # machinery of this module, so a top-level import would cycle.
-        from repro.engine.kernels import compile_kernel
-
-        return compile_kernel(schedule, validate=validate)
-    tracer = active_tracer()
-    if tracer is not None:
-        with tracer.span(
-            "engine.compile",
-            ops=len(schedule),
-            xors=schedule.n_xors,
-            batched=batched,
-            validate=validate,
-        ):
-            return _compile(schedule, batched=batched, validate=validate)
-    return _compile(schedule, batched=batched, validate=validate)
-
-
-def _compile(
-    schedule: Schedule, *, batched: bool, validate: bool
-) -> CompiledSchedule:
-    compiled = CompiledSchedule(
-        schedule.cols, schedule.rows, fuse_schedule(schedule), batched=batched
-    )
-    if validate:
-        _validate_compilation(schedule, compiled)
-    return compiled
-
-
-def fuse_schedule(schedule: Schedule) -> list[_Group]:
-    """The fusion pass: program order in, hazard-safe group order out."""
-    rows = schedule.rows
-    open_groups: dict[int, _Group] = {}  # dst flat index -> group
-    readers: dict[int, set[int]] = {}  # cell -> dsts of open groups reading it
-    order: list[_Group] = []
-
-    def flush(dst: int) -> None:
-        group = open_groups.pop(dst, None)
-        if group is None:
-            return
-        for s in group.srcs:
-            peers = readers.get(s)
-            if peers is not None:
-                peers.discard(dst)
-                if not peers:
-                    del readers[s]
-        order.append(group)
-
-    for op in schedule:
-        dst = op.dst_col * rows + op.dst_row
-        src = op.src_col * rows + op.src_row
-
-        # RAW: the source must be fully produced before we read it.
-        if src in open_groups:
-            flush(src)
-        # WAR: open groups reading `dst` must run before we overwrite it.
-        for reader_dst in tuple(readers.get(dst, ())):
-            if reader_dst != dst:
-                flush(reader_dst)
-
-        group = open_groups.get(dst)
-        if op.copy:
-            if group is not None:
-                # Overwritten before being read by anyone: value is dead,
-                # but flush anyway to keep op-count semantics simple.
-                flush(dst)
-            group = _Group(dst, [src], init_copy=True)
-            open_groups[dst] = group
-        else:
-            if group is None:
-                group = _Group(dst, [src], init_copy=False)
-                open_groups[dst] = group
-            else:
-                group.srcs.append(src)
-        readers.setdefault(src, set()).add(dst)
-
-    for dst in tuple(open_groups):
-        flush(dst)
-    return order
-
-
-def _validate_compilation(schedule: Schedule, compiled: CompiledSchedule) -> None:
-    """Symbolically prove ``compiled`` equivalent to ``schedule``.
-
-    Both programs are interpreted over a pristine symbolic stripe (every
-    cell its own atom) and their complete final states compared; any
-    differing cell is a lowering bug.
-    """
-    # Imported lazily: the static-analysis package imports the code
-    # families, which import repro.engine -- a module-level import here
-    # would close that cycle during package initialisation.
-    from repro.analysis.static.symbolic import (
-        format_expr,
-        symbolic_execute,
-        symbolic_execute_groups,
-    )
-    from repro.engine.verify import ScheduleViolation
-
-    want = symbolic_execute(schedule)
-
-    programs: list[tuple[str, list[tuple[int, np.ndarray, bool]]]] = [
-        ("fused", compiled._groups)
-    ]
-    if compiled._batches is not None:
-        # Within a level no group reads another's destination, so
-        # sequential interpretation of the batch members is equivalent
-        # to the gather-then-scatter execution.
-        programs.append(
-            (
-                "batched",
-                [
-                    (int(dsts[g]), srcs[g], init_copy)
-                    for init_copy, dsts, srcs in compiled._batches
-                    for g in range(dsts.size)
-                ],
-            )
-        )
-    for label, groups in programs:
-        got = symbolic_execute_groups(schedule.cols, schedule.rows, groups)
-        for cell in sorted(want):
-            if got[cell] != want[cell]:
-                raise ScheduleViolation(
-                    f"{label} lowering diverges at cell (c{cell[0]},r{cell[1]}): "
-                    f"schedule computes {format_expr(want[cell])}, "
-                    f"compiled computes {format_expr(got[cell])}"
-                )
+    return compile_kernel(schedule, validate=validate)
 
 
 class StreamingSchedule:
@@ -366,9 +71,10 @@ class StreamingSchedule:
     proportional to the *operation count* -- which is exactly the
     quantity the paper's algorithms minimise.  This executor preserves
     that model: one NumPy XOR/copy over the element per op, no fusion.
-    Use it for paper-faithful throughput comparisons;
-    :class:`CompiledSchedule` is the faster fused engine for production
-    use (where the fusion blurs the algorithms' op-count differences).
+    Use it for paper-faithful throughput comparisons; the
+    :class:`~repro.engine.kernels.KernelPlan` from
+    :func:`compile_schedule` is the faster engine for production use
+    (where levelization blurs the algorithms' op-count differences).
     """
 
     def __init__(self, schedule: Schedule) -> None:
@@ -404,6 +110,6 @@ def execute_words(schedule: Schedule, buf: np.ndarray) -> np.ndarray:
     """One-shot compile + run over a word stripe (in place).
 
     For hot paths, compile once with :func:`compile_schedule` and reuse
-    the :class:`CompiledSchedule`.
+    the :class:`~repro.engine.kernels.KernelPlan`.
     """
     return compile_schedule(schedule).run(buf)

@@ -1,18 +1,17 @@
 """Levelized bulk-XOR kernels: the native-speed schedule executor.
 
-The fused executor (:class:`~repro.engine.executor.CompiledSchedule`)
-already collapses a schedule's op *count* to its destination-cell
-count, but it still pays one fancy-indexed gather per destination --
-interpreter dispatch and index arithmetic dominate at real element
-sizes.  This module lowers one more step, to a short straight-line
-program of **contiguous-slice NumPy calls** over the stripe buffer
+Running a schedule one op at a time
+(:class:`~repro.engine.executor.StreamingSchedule`) pays interpreter
+dispatch per XOR, which dominates at real element sizes.  This module
+lowers a schedule to a short straight-line program of
+**contiguous-slice NumPy calls** over the stripe buffer
 ``buf[cols, rows, words]``:
 
 1. *Contribution levelization* (:func:`_levelize_ops`): every single
    XOR/copy hoists to the lowest dependency level its own hazards
-   allow.  This is deliberately finer than the fused executor's
-   group levels: a decoder schedule interleaves syndrome building
-   with its sequential recovery chain, and per-op levels let all the
+   allow.  Levels are per op, not per destination: a decoder schedule
+   interleaves syndrome building with its sequential recovery chain,
+   and per-op levels let all the
    order-free syndrome work sink to level 1 where it can merge wide.
 2. *Slice classing* (:func:`_class_runs`): within a level all
    accumulating contributions commute, so they regroup freely;
@@ -34,8 +33,8 @@ an id can never be reused while cached); repeated coding of the same
 stripe buffer, the shape of every benchmark and of batch rebuild, pays
 for binding once.
 
-Unlike the flat-reshape executors, kernel programs slice the stripe
-axis-wise and therefore run correctly (in place) on non-contiguous
+Unlike the flat-reshape streaming executor, kernel programs slice the
+stripe axis-wise and therefore run correctly (in place) on non-contiguous
 stripe views, and on buffers with any trailing shape beyond the first
 two axes.  That is what makes the batch data plane zero-copy:
 :class:`repro.parallel.BatchCoder` binds one plan over the transposed
@@ -529,7 +528,7 @@ def compile_kernel(schedule: Schedule, *, validate: bool = False) -> KernelPlan:
 def _levelize_ops(schedule: Schedule) -> dict[int, list[tuple[int, int, bool]]]:
     """Assign a dependency level to every *contribution* of the schedule.
 
-    Finer-grained than the fused executor's group levels: each op hoists
+    Levels are per op, not per destination cell: each op hoists
     to the lowest level consistent with its own hazards, so e.g. decoder
     syndrome accumulations all land in level 1 -- where they merge into
     wide slice classes -- even though the schedule interleaves them with
@@ -676,7 +675,9 @@ def _validate_kernel(schedule: Schedule, plan: KernelPlan) -> None:
     because :meth:`KernelPlan._check_op_aliasing` already rejected any
     op whose destination overlaps its own source.
     """
-    # Lazy import for the same package-cycle reason as in executor.py.
+    # Imported lazily: the static-analysis package imports the code
+    # families, which import repro.engine -- a module-level import here
+    # would close that cycle during package initialisation.
     from repro.analysis.static.symbolic import (
         format_expr,
         pristine_state,

@@ -8,7 +8,7 @@ subsystem reports through:
   trace digests across replays), with JSONL and Chrome ``trace_event``
   exporters;
 * :mod:`repro.obs.metrics` -- counters, gauges and mergeable log2
-  histograms (grown out of ``repro.cluster.metrics``), with a
+  histograms (grown out of the cluster's counters), with a
   Prometheus text-exposition formatter served by cluster nodes;
 * :mod:`repro.obs.profile` -- engine hooks emitting per-schedule spans
   (XOR count, bytes, plan-cache hit/miss, effective throughput);

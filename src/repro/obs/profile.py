@@ -43,7 +43,7 @@ def kernel_attrs(span: Span, plan: object) -> None:
     """Stamp a schedule span with the kernel plan's lowering shape.
 
     Duck-typed on ``plan.stats()`` so the call site stays executor-
-    agnostic: fused and streaming plans have no ``stats`` and produce no
+    agnostic: streaming plans have no ``stats`` and produce no
     attributes.  ``kernel_ops`` replaces the stats key ``kernel_ops``
     verbatim; the others gain the ``kernel_`` prefix, keeping the plain
     ``xors``/``ops`` names reserved for schedule-level accounting.

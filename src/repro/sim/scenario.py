@@ -47,7 +47,8 @@ from repro.array.faults import ALWAYS, NetworkFaultPlan
 from repro.array.raid6 import RAID6Array
 from repro.cluster.client import ClusterError, RetryPolicy
 from repro.cluster.health import HealthMonitor
-from repro.cluster.local import ElasticLocalCluster, LocalCluster
+from repro.cluster.local import LocalCluster
+from repro.cluster.rebalance import Rebalancer
 from repro.cluster.rebuild import RebuildScheduler
 from repro.cluster.scrub import ClusterScrubber
 from repro.cluster.txn import ClientCrash, TwoPhaseWriter
@@ -112,9 +113,9 @@ GATEWAY_OPS = frozenset(
 )
 
 #: Op kinds of the membership-churn vocabulary.  Their presence switches
-#: the runner onto an :class:`~repro.cluster.local.ElasticLocalCluster`
-#: (placement-routed array, heartbeat monitor, rebalancer) instead of
-#: the fixed ``k + 2`` cluster; nodes are identities, not columns.
+#: the runner onto a larger node pool (placement-routed array, heartbeat
+#: monitor, rebalancer) instead of the fixed ``k + 2`` cluster; nodes
+#: are identities, not columns.
 #: Plain scenarios never construct them, so existing seeds keep their
 #: digests.
 ELASTIC_OPS = frozenset(
@@ -525,16 +526,10 @@ def run_scenario(
         cluster_code = code_factory(scenario.code, scenario.k, **kwargs)
         model_code = code_factory(scenario.code, scenario.k, **kwargs)
         elastic = any(op["op"] in ELASTIC_OPS for op in scenario.ops)
-        if elastic:
-            cluster = ElasticLocalCluster(
-                cluster_code, scenario.n_stripes, scenario.n_nodes or None,
-                transport=transport, clock=clock, tracer=tracer,
-            )
-        else:
-            cluster = LocalCluster(
-                cluster_code, scenario.n_stripes, transport=transport,
-                clock=clock, tracer=tracer,
-            )
+        cluster = LocalCluster(
+            cluster_code, scenario.n_stripes, scenario.n_nodes or None,
+            transport=transport, clock=clock, tracer=tracer,
+        )
         model = RAID6Array(model_code, scenario.n_stripes)
         trace: list = []
 
@@ -613,10 +608,10 @@ def run_scenario(
             # verdict, the rebalancer converges routing onto placement.
             emonitor = rebalancer = None
             if elastic:
-                emonitor = cluster.monitor(
+                emonitor = HealthMonitor(
                     arr, miss_threshold=2, probe_timeout=0.2
                 )
-                rebalancer = cluster.rebalancer(arr)
+                rebalancer = Rebalancer(arr)
 
             writer = scrubber = monitor = None
             if any(op["op"] in CHAOS_OPS for op in scenario.ops):
@@ -631,9 +626,11 @@ def run_scenario(
 
             async def txn_committed(txn: str) -> bool:
                 """Whether any participant recorded a commit decision."""
-                for client in arr.clients:
+                for node_id in arr.membership.serving():
                     try:
-                        reply, _ = await client.request("txn-status", {"txn": txn})
+                        reply, _ = await arr.client_for_node(node_id).request(
+                            "txn-status", {"txn": txn}
+                        )
                     except ClusterError:
                         continue
                     if reply.get("state") == "committed":
@@ -823,14 +820,16 @@ def run_scenario(
                     record["healed"] = await monitor.heal()
                 elif kind == "check_quiescent":
                     unretired = []
-                    for col, client in enumerate(arr.clients):
+                    for node_id in arr.membership.serving():
                         try:
-                            reply, _ = await client.request("intents")
+                            reply, _ = await arr.client_for_node(
+                                node_id
+                            ).request("intents")
                         except ClusterError:
-                            unretired.append({"column": col, "unreachable": True})
+                            unretired.append({"node": node_id, "unreachable": True})
                             continue
                         unretired += [
-                            {"column": col, "txn": rec["txn"]}
+                            {"node": node_id, "txn": rec["txn"]}
                             for rec in reply.get("txns", ())
                         ]
                     if unretired:

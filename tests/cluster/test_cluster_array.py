@@ -184,7 +184,7 @@ class TestRebuild:
                     assert done == total
                     cluster.promote_replacement(col)
 
-                assert all(await arr.ping())
+                assert all((await arr.ping()).values())
                 # Full redundancy again: a fresh double loss elsewhere
                 # must still decode.
                 for col in (0, code.q_col):
@@ -251,8 +251,8 @@ class TestStatsView:
 
         code, stats = asyncio.run(run())
         assert stats["client"]["counters"]["full_stripe_writes"] == 2
-        assert stats["nodes"][0] is None  # stopped node reports as unreachable
-        live = [n for n in stats["nodes"] if n is not None]
+        assert stats["nodes"]["n0"] is None  # stopped node reports as unreachable
+        live = [n for n in stats["nodes"].values() if n is not None]
         assert len(live) == code.n_cols - 1
         assert all(n["stats"]["counters"]["requests_put"] >= 2 for n in live)
         # request latency histogram populated on the client

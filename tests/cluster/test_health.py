@@ -10,6 +10,7 @@ import asyncio
 
 from repro.cluster import CircuitBreaker
 from repro.cluster.health import BreakerState
+from repro.cluster.membership import NodeState
 from tests.cluster.conftest import FAST_POLICY, payload_for, sim_cluster
 
 
@@ -142,15 +143,16 @@ class TestHealthMonitor:
                     arr, miss_threshold=2, probe_timeout=0.2
                 )
                 alive = await monitor.probe_once()
-                assert alive == [True] * code.n_cols
-                assert not any(monitor.failed)
+                assert alive == {f"n{c}": True for c in range(code.n_cols)}
+                assert arr.membership.counts()["dead"] == 0
 
                 await cluster.stop_node(3)
                 await monitor.probe_once()
-                assert not monitor.failed[3]  # one miss is not a failure
+                # one miss is not a failure
+                assert arr.membership.state_of("n3") is NodeState.LIVE
                 await monitor.probe_once()
-                assert monitor.failed[3]
-                assert arr.metrics.get("columns_failed") == 1
+                assert arr.membership.state_of("n3") is NodeState.DEAD
+                assert arr.metrics.get("nodes_dead") == 1
                 assert arr.metrics.get("heartbeat_misses") == 2
 
         asyncio.run(run())
@@ -163,11 +165,11 @@ class TestHealthMonitor:
                 monitor = cluster.auto_healer(
                     arr, miss_threshold=2, probe_timeout=0.2, failure_threshold=2
                 )
-                assert arr.breakers is not None  # installed by the monitor
+                assert arr.breakers  # installed by the monitor
                 await cluster.stop_node(1)
                 await monitor.probe_once()
                 await monitor.probe_once()
-                assert arr.breakers[1].state is BreakerState.OPEN
+                assert arr.breakers["n1"].state is BreakerState.OPEN
                 # Data-plane requests now short-circuit without a dial.
                 missing = await arr._gather_columns(
                     0, [1], code.alloc_stripe()
@@ -190,14 +192,16 @@ class TestHealthMonitor:
                 await cluster.stop_node(2)
                 await monitor.probe_once()
                 await monitor.probe_once()
-                assert monitor.failed[2]
+                assert arr.membership.state_of("n2") is NodeState.DEAD
 
                 healed = await monitor.heal()
                 assert healed == [2]
-                assert not monitor.failed[2]
+                # The replacement took over the id: LIVE at a new address.
+                assert arr.membership.state_of("n2") is NodeState.LIVE
+                assert arr.membership.address_of("n2") == cluster.nodes[2].address
                 # The breaker reset with the rebuild: the column serves
                 # again without waiting out the cooldown.
-                assert arr.breakers[2].state is BreakerState.CLOSED
+                assert arr.breakers["n2"].state is BreakerState.CLOSED
                 assert arr.metrics.get("columns_healed") == 1
                 assert await arr.read(0, arr.capacity) == data
                 # The promoted replacement holds real strips.

@@ -1,9 +1,11 @@
-"""Membership drills: epoch-numbered table + heartbeat monitor.
+"""Membership drills: epoch-numbered table + heartbeat verdicts.
 
 The table is pure state-machine logic (no I/O), so the transition
-tests are plain unit tests; the monitor drills run on the simulation
-seam and prove the heartbeat actually drives the table -- misses to
-DEAD, answers to LIVE -- with every change visible as an epoch bump.
+tests are plain unit tests; the monitor drills run
+:class:`~repro.cluster.health.HealthMonitor` over a node pool on the
+simulation seam and prove the heartbeat actually drives the table --
+misses to DEAD, answers to LIVE -- with every change visible as an
+epoch bump.
 """
 
 import asyncio
@@ -11,6 +13,7 @@ import asyncio
 import pytest
 
 from repro.cluster import MembershipError, MembershipTable
+from repro.cluster.health import BreakerState, HealthMonitor
 from repro.cluster.membership import NodeState
 from repro.obs.metrics import MetricsRegistry
 from tests.cluster.conftest import FAST_POLICY, elastic_sim_cluster, payload_for
@@ -122,12 +125,14 @@ class TestMembershipTable:
 
 
 class TestMembershipMonitor:
+    """Heartbeat verdicts from :class:`HealthMonitor` on a ``k + 4`` pool."""
+
     def test_misses_mark_dead_after_threshold(self):
         async def run():
             _, cluster = elastic_sim_cluster()
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
-                monitor = cluster.monitor(arr, miss_threshold=2, probe_timeout=0.2)
+                monitor = HealthMonitor(arr, miss_threshold=2, probe_timeout=0.2)
                 await cluster.stop_node("n1")
                 await monitor.probe_once()
                 assert arr.membership.state_of("n1") is NodeState.LIVE  # one miss
@@ -139,12 +144,30 @@ class TestMembershipMonitor:
 
         asyncio.run(run())
 
+    def test_stopped_node_is_marked_dead_and_its_breaker_opens(self):
+        async def run():
+            _, cluster = elastic_sim_cluster()  # k + 4 nodes
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                monitor = HealthMonitor(
+                    arr, miss_threshold=2, failure_threshold=2, probe_timeout=0.2
+                )
+                victim = "n6"
+                await cluster.stop_node(victim)
+                await monitor.probe_once()
+                await monitor.probe_once()
+                assert arr.membership.state_of(victim) is NodeState.DEAD
+                assert arr.breakers[victim].state is BreakerState.OPEN
+                assert arr.metrics.get("nodes_dead") == 1
+
+        asyncio.run(run())
+
     def test_answering_probe_revives_a_dead_node(self):
         async def run():
             _, cluster = elastic_sim_cluster()
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
-                monitor = cluster.monitor(arr, miss_threshold=1, probe_timeout=0.2)
+                monitor = HealthMonitor(arr, miss_threshold=1, probe_timeout=0.2)
                 await cluster.stop_node("n2")
                 await monitor.probe_once()
                 assert arr.membership.state_of("n2") is NodeState.DEAD
@@ -159,7 +182,7 @@ class TestMembershipMonitor:
             _, cluster = elastic_sim_cluster()
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
-                monitor = cluster.monitor(arr, miss_threshold=2, probe_timeout=0.2)
+                monitor = HealthMonitor(arr, miss_threshold=2, probe_timeout=0.2)
                 node_id = await cluster.add_node(live=False)
                 assert arr.membership.state_of(node_id) is NodeState.JOINING
                 assert node_id not in arr.membership.placement_pool()
@@ -175,7 +198,7 @@ class TestMembershipMonitor:
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
                 epochs = []
-                monitor = cluster.monitor(
+                monitor = HealthMonitor(
                     arr, miss_threshold=1, probe_timeout=0.2,
                     on_change=epochs.append,
                 )
@@ -195,7 +218,7 @@ class TestMembershipMonitor:
                 data = payload_for(arr, seed=3)
                 await arr.write(0, data)
                 victim = arr.holders(0)[0]
-                monitor = cluster.monitor(arr, miss_threshold=1, probe_timeout=0.2)
+                monitor = HealthMonitor(arr, miss_threshold=1, probe_timeout=0.2)
                 await cluster.stop_node(victim)
                 await monitor.probe_once()
                 assert arr.membership.state_of(victim) is NodeState.DEAD

@@ -16,8 +16,10 @@ import asyncio
 import pytest
 
 from repro.cluster import ClusterError, MembershipError, TokenBucket
+from repro.cluster.health import HealthMonitor
 from repro.cluster.membership import NodeState
-from repro.cluster.txn import ClientCrash
+from repro.cluster.rebalance import Rebalancer
+from repro.cluster.txn import ClientCrash, TwoPhaseWriter
 from repro.sim import VirtualClock
 from tests.cluster.conftest import FAST_POLICY, elastic_sim_cluster, payload_for
 
@@ -66,7 +68,7 @@ class TestConvergence:
             _, cluster = elastic_sim_cluster()
             async with cluster:
                 arr, data, new_id = await churned(cluster, seed=1)
-                reb = cluster.rebalancer(arr)
+                reb = Rebalancer(arr)
                 todo = reb.misplaced()
                 assert todo  # the new node wins some strips (seeded)
                 epoch_before = arr.membership.epoch
@@ -89,7 +91,7 @@ class TestConvergence:
                 arr = cluster.array(policy=FAST_POLICY)
                 data = payload_for(arr, seed=2)
                 await arr.write(0, data)
-                reb = cluster.rebalancer(arr)
+                reb = Rebalancer(arr)
                 assert await reb.run_until_converged() == 0
                 assert arr.metrics.snapshot()["counters"].get(
                     "stripes_migrated", 0
@@ -105,11 +107,11 @@ class TestConvergence:
                 data = payload_for(arr, seed=3)
                 await arr.write(0, data)
                 victim = arr.holders(0)[0]
-                monitor = cluster.monitor(arr, miss_threshold=1, probe_timeout=0.2)
+                monitor = HealthMonitor(arr, miss_threshold=1, probe_timeout=0.2)
                 await cluster.stop_node(victim)
                 await monitor.probe_once()
                 assert arr.membership.state_of(victim) is NodeState.DEAD
-                reb = cluster.rebalancer(arr)
+                reb = Rebalancer(arr)
                 moved = await reb.run_until_converged()
                 assert moved > 0
                 assert reb.misplaced() == []
@@ -125,7 +127,7 @@ class TestConvergence:
             async with cluster:
                 arr, data, _ = await churned(cluster, seed=4)
                 rate, burst = 4096.0, 1024.0
-                reb = cluster.rebalancer(arr, rate_bytes=rate, burst_bytes=burst)
+                reb = Rebalancer(arr, rate_bytes=rate, burst_bytes=burst)
                 t0 = arr.clock.time()
                 await reb.run_until_converged()
                 elapsed = arr.clock.time() - t0
@@ -150,7 +152,7 @@ class TestConvergence:
                         return True
                     return False
 
-                reb = cluster.rebalancer(
+                reb = Rebalancer(
                     arr, foreground_gate=gate, gate_backoff=0.01
                 )
                 await reb.run_until_converged()
@@ -169,8 +171,8 @@ class TestDrain:
                 arr = cluster.array(policy=FAST_POLICY)
                 data = payload_for(arr, seed=6)
                 await arr.write(0, data)
-                reb = cluster.rebalancer(arr)
-                victim = max(cluster.nodes, key=reb.strips_on)
+                reb = Rebalancer(arr)
+                victim = max(arr.membership.serving(), key=reb.strips_on)
                 assert reb.strips_on(victim) > 0
                 moved = await reb.drain(victim)
                 assert moved >= reb.strips_on(victim) == 0
@@ -186,7 +188,7 @@ class TestDrain:
             code, cluster = elastic_sim_cluster(n_nodes=5)  # exactly k + 2
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
-                reb = cluster.rebalancer(arr)
+                reb = Rebalancer(arr)
                 with pytest.raises(MembershipError):
                     await reb.drain("n0")
                 # Nothing changed: the node still serves and places.
@@ -204,8 +206,8 @@ class TestDrain:
                 arr = cluster.array(policy=FAST_POLICY)
                 model = bytearray(payload_for(arr, seed=7))
                 await arr.write(0, bytes(model))
-                reb = cluster.rebalancer(arr)
-                victim = max(cluster.nodes, key=reb.strips_on)
+                reb = Rebalancer(arr)
+                victim = max(arr.membership.serving(), key=reb.strips_on)
                 stripe_bytes = arr.stripe_data_bytes
                 stop = asyncio.Event()
                 failures: list[Exception] = []
@@ -255,7 +257,7 @@ def migration_fixture(seed):
         _, cluster = elastic_sim_cluster()
         await cluster.start()
         arr, data, new_id = await churned(cluster, seed=seed)
-        reb = cluster.rebalancer(arr)
+        reb = Rebalancer(arr)
         stripe = next(s for s in reb.misplaced() if new_id in reb.targets(s))
         return cluster, arr, data, reb, stripe, new_id
 
@@ -278,7 +280,7 @@ class TestCrashSweep:
             cluster, arr, data, reb, stripe, new_id = await migration_fixture(8)
             try:
                 before = arr.holders(stripe)
-                cluster.nodes[new_id].crashes.arm(point)
+                cluster.node(new_id).crashes.arm(point)
                 with pytest.raises(ClusterError):
                     await reb.migrate_stripe(stripe)
                 # All-old: routing untouched, every byte still served.
@@ -312,7 +314,7 @@ class TestCrashSweep:
                     for c in range(len(before))
                     if before[c] != target[c] and before[c] not in set(target)
                 )
-                cluster.nodes[source].crashes.arm(point)
+                cluster.node(source).crashes.arm(point)
                 # Release is post-flip and best-effort: the migration
                 # itself must succeed even though the source dies.
                 assert await reb.migrate_stripe(stripe)
@@ -346,7 +348,7 @@ class TestCrashSweep:
                 assert arr.holders(stripe) in (before, target)
                 assert await arr.read(0, arr.capacity) == data
                 # A fresh coordinator (new crash plan) finishes the job.
-                fresh = cluster.rebalancer(arr)
+                fresh = Rebalancer(arr)
                 orphans = fresh.misplaced() and await fresh.recover()
                 await fresh.run_until_converged()
                 assert fresh.misplaced() == []
@@ -366,6 +368,31 @@ class TestCrashSweep:
 
         asyncio.run(run())
 
+    def test_staged_migration_survives_two_phase_recovery(self):
+        """``TwoPhaseWriter.recover`` must not decide a ``mig-`` intent:
+        only the rebalancer knows whether its flip happened."""
+
+        async def run():
+            cluster, arr, data, reb, stripe, new_id = await migration_fixture(12)
+            try:
+                reb.crash.arm(after=1)  # dies right after staging one strip
+                with pytest.raises(ClientCrash):
+                    await reb.migrate_stripe(stripe)
+                staged = set(cluster.node(new_id).intents)
+                assert staged and all(t.startswith("mig-") for t in staged)
+                outcome = await TwoPhaseWriter(arr, client_id="t").recover()
+                assert outcome == {"rolled_forward": [], "rolled_back": []}
+                assert set(cluster.node(new_id).intents) == staged
+                fresh = Rebalancer(arr)
+                assert await fresh.recover() >= 1
+                await fresh.run_until_converged()
+                assert fresh.misplaced() == []
+                assert await arr.read(0, arr.capacity) == data
+            finally:
+                await cluster.stop()
+
+        asyncio.run(run())
+
     def test_recover_aborts_orphaned_intents(self):
         async def run():
             cluster, arr, data, reb, stripe, new_id = await migration_fixture(12)
@@ -375,7 +402,7 @@ class TestCrashSweep:
                 reb.crash.arm(after=1)
                 with pytest.raises(ClientCrash):
                     await reb.migrate_stripe(stripe)
-                fresh = cluster.rebalancer(arr)
+                fresh = Rebalancer(arr)
                 assert await fresh.recover() >= 1
                 counters = arr.metrics.snapshot()["counters"]
                 assert counters["migration_intents_aborted"] >= 1

@@ -23,7 +23,7 @@ from repro.cluster import (
     TwoPhaseWriter,
 )
 from repro.cluster.txn import ClientCrash
-from tests.cluster.conftest import FAST_POLICY, sim_cluster
+from tests.cluster.conftest import FAST_POLICY, elastic_sim_cluster, sim_cluster
 
 
 def make_stripe(code, seed):
@@ -37,10 +37,18 @@ def make_stripe(code, seed):
     return buf
 
 
-def column_states(cluster, stripe, old, new):
-    """Per-column verdict against the two legal images."""
+def column_states(cluster, stripe, old, new, arr=None):
+    """Per-column verdict against the two legal images.
+
+    Without ``arr`` column *c* is read from ``cluster.nodes[c]`` (the
+    fixed layout); with it, from the node holding it in ``arr``.
+    """
+    nodes = (
+        cluster.nodes if arr is None
+        else [cluster.node(n) for n in arr.holders(stripe)]
+    )
     states = []
-    for col, node in enumerate(cluster.nodes):
+    for col, node in enumerate(nodes):
         strip = node.disk.read_strip(stripe).reshape(old[col].shape)
         if np.array_equal(strip, new[col]):
             states.append("new")
@@ -95,7 +103,9 @@ class TestCleanProtocol:
                 new = make_stripe(code, seed=3)
                 writer = TwoPhaseWriter(arr, client_id="t")
                 await writer.write_stripe(0, new)
-                reply, _ = await arr._column_request(0, "commit", {"txn": "t-1"})
+                reply, _ = await arr._column_request(
+                    0, "commit", {"txn": "t-1"}, stripe=0
+                )
                 assert reply["state"] == "committed"
                 assert reply["applied"] is False
                 # A late duplicate prepare cannot resurrect the intent.
@@ -103,6 +113,7 @@ class TestCleanProtocol:
                     0, "prepare",
                     {"txn": "t-1", "stripe": 0, "part": []},
                     np.ascontiguousarray(new[0]).tobytes(),
+                    stripe=0,
                 )
                 assert reply["state"] == "committed"
                 assert no_pending_intents(cluster)
@@ -148,6 +159,40 @@ class TestClientCrashSweep:
                             assert column_states(cluster, 0, old, new) == (
                                 ["old"] * code.n_cols
                             )
+
+        asyncio.run(run())
+
+    def test_client_crash_sweep_on_a_larger_pool(self):
+        """The same sweep on a ``k + 4`` pool, on a stripe placed off the
+        first ``k + 2`` nodes: recovery must find each intent on the node
+        that holds it, not at a column index."""
+
+        async def run():
+            code, cluster = elastic_sim_cluster()
+            n_rpcs = 2 * code.n_cols
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                first = tuple(f"n{c}" for c in range(code.n_cols))
+                stripe = next(
+                    s for s in range(arr.n_stripes) if arr.holders(s) != first
+                )
+                old = make_stripe(code, seed=1)
+                for crash_at in range(n_rpcs):
+                    await arr.write_stripe(stripe, old)
+                    new = make_stripe(code, seed=200 + crash_at)
+                    writer = TwoPhaseWriter(arr, client_id=f"e{crash_at}")
+                    writer.crash.arm(after=crash_at)
+                    with pytest.raises(ClientCrash):
+                        await writer.write_stripe(stripe, new)
+                    outcome = await writer.recover()
+                    states = column_states(cluster, stripe, old, new, arr)
+                    assert set(states) in ({"old"}, {"new"}), states
+                    assert no_pending_intents(cluster)
+                    if crash_at > code.n_cols:
+                        assert states == ["new"] * code.n_cols
+                        assert outcome["rolled_forward"]
+                    if crash_at < code.n_cols:
+                        assert states == ["old"] * code.n_cols
 
         asyncio.run(run())
 
@@ -223,10 +268,11 @@ class TestNodeCrashSweep:
                     0, "prepare",
                     {"txn": "x-1", "stripe": 0, "part": [0]},
                     np.ascontiguousarray(new[0]).tobytes(),
+                    stripe=0,
                 )
                 cluster.nodes[0].crashes.arm("abort-before-drop")
                 writer = TwoPhaseWriter(arr, client_id="x")
-                await writer._abort("x-1", [0])  # crash swallowed: presumed abort
+                await writer._abort("x-1", [0], stripe=0)  # crash swallowed: presumed abort
                 assert not cluster.nodes[0].running
                 await cluster.restart_node(0)
                 arr.replace_node(0, cluster.nodes[0].address)
@@ -253,10 +299,11 @@ class TestNodeCrashSweep:
                     0, "prepare",
                     {"txn": "x-1", "stripe": 0, "part": [0]},
                     np.ascontiguousarray(new[0]).tobytes(),
+                    stripe=0,
                 )
                 cluster.nodes[0].crashes.arm("abort-before-reply")
                 writer = TwoPhaseWriter(arr, client_id="x")
-                await writer._abort("x-1", [0])  # crash swallowed: presumed abort
+                await writer._abort("x-1", [0], stripe=0)  # crash swallowed: presumed abort
                 assert not cluster.nodes[0].running
                 await cluster.restart_node(0)
                 arr.replace_node(0, cluster.nodes[0].address)
@@ -265,7 +312,9 @@ class TestNodeCrashSweep:
                 assert outcome == {"rolled_forward": [], "rolled_back": []}
                 assert no_pending_intents(cluster)
                 # Re-sending the abort must be a harmless no-op.
-                reply, _ = await arr._column_request(0, "abort", {"txn": "x-1"})
+                reply, _ = await arr._column_request(
+                    0, "abort", {"txn": "x-1"}, stripe=0
+                )
                 assert reply["state"] == "aborted"
                 assert column_states(cluster, 0, old, new)[0] == "old"
 

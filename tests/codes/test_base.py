@@ -28,7 +28,7 @@ class TestGeometryProperties:
 
 
 class TestExecutionModes:
-    @pytest.mark.parametrize("mode", ["kernel", "fused", "streaming"])
+    @pytest.mark.parametrize("mode", ["kernel", "streaming"])
     def test_modes_agree(self, mode, random_words):
         ref_code = LiberationOptimal(5, p=5, element_size=16)
         code = LiberationOptimal(5, p=5, element_size=16, execution=mode)

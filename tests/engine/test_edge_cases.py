@@ -5,8 +5,8 @@ the buffers callers actually hold: empty word axes (a zero-byte
 object's stripe tail), odd word counts (element sizes that are not a
 power of two), non-contiguous views (a stripe sliced out of a larger
 transport buffer), and the kernel plan's trailing-shape freedom (batch
-views).  Each case compares against the fused executor or a contiguous
-copy, so these are equivalence tests, not just smoke.
+views).  Each case compares against the streaming executor or a
+contiguous copy, so these are equivalence tests, not just smoke.
 """
 
 import numpy as np
@@ -44,7 +44,6 @@ class TestZeroLengthWordAxis:
         for run in (
             lambda b: execute_words(sched, b),
             compile_schedule(sched).run,
-            compile_schedule(sched, batched=True).run,
             StreamingSchedule(sched).run,
             compile_kernel(sched).run,
         ):

@@ -1,15 +1,14 @@
 """Tests for schedule execution: bit reference vs compiled word engines.
 
-The central invariant: for any legal schedule, the fused
-:class:`CompiledSchedule`, the :class:`StreamingSchedule` and the
-op-by-op bit executor compute identical results.
+The central invariant: for any legal schedule, the compiled
+:class:`~repro.engine.kernels.KernelPlan`, the :class:`StreamingSchedule`
+and the op-by-op bit executor compute identical results.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine.executor import (
-    CompiledSchedule,
     StreamingSchedule,
     compile_schedule,
     execute_bits,
@@ -76,21 +75,17 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_batched_matches_sequential(self, seed):
+        """One plan bound over a stripe batch ``(cols, rows, n, words)``
+        equals running the op-at-a-time engine stripe by stripe."""
         rng = np.random.default_rng(100 + seed)
         sched = random_schedule(rng, n_ops=120)
-        base = rng.integers(0, 2**64, (5, 4, 3), dtype=np.uint64)
-        a, b = base.copy(), base.copy()
+        base = rng.integers(0, 2**64, (5, 4, 3, 2), dtype=np.uint64)
+        a = base.copy()
         compile_schedule(sched).run(a)
-        plan = compile_schedule(sched)
-        CompiledSchedule(plan.cols, plan.rows, [], batched=True)  # smoke ctor
-        from repro.engine.executor import _Group  # rebuild batched from groups
-
-        groups = [
-            _Group(dst, list(srcs), init)
-            for (dst, srcs, init) in plan._groups
-        ]
-        CompiledSchedule(plan.cols, plan.rows, groups, batched=True).run(b)
-        assert np.array_equal(a, b)
+        for i in range(base.shape[2]):
+            b = np.ascontiguousarray(base[:, :, i])
+            StreamingSchedule(sched).run(b)
+            assert np.array_equal(a[:, :, i], b)
 
     def test_execute_words_one_shot(self):
         s = Schedule(3, 1)
@@ -149,11 +144,13 @@ class TestHazards:
 
 class TestCompiledProperties:
     def test_group_count_reported(self):
-        s = Schedule(3, 1)
-        for j in range(2):
-            s.xor_into((2, 0), (j, 0))
+        """Accumulations from a contiguous column range into one cell
+        lower to a single reduce."""
+        s = Schedule(4, 1)
+        for j in range(3):
+            s.xor_into((3, 0), (j, 0))
         plan = compile_schedule(s)
-        assert plan.n_groups == 1
+        assert plan.stats()["kernel_ops"] == 1
 
     def test_run_shape_mismatch(self):
         s = Schedule(3, 2)
@@ -186,37 +183,3 @@ class TestCompileValidation:
     def test_real_schedules_validate(self):
         for sched in self._real_schedules():
             compile_schedule(sched, validate=True)
-            compile_schedule(sched, batched=True, validate=True)
-
-    def test_planted_lowering_bug_is_caught(self):
-        from repro.codes import make_code
-        from repro.engine.executor import CompiledSchedule, _validate_compilation
-        from repro.engine.verify import ScheduleViolation
-
-        sched = make_code("liberation-optimal", 4, p=5).build_encode_schedule()
-        good = compile_schedule(sched)
-        # Corrupt one fused group: drop its last source term.
-        dst, srcs, init = good._groups[0]
-        bad = CompiledSchedule.__new__(CompiledSchedule)
-        bad.cols, bad.rows = good.cols, good.rows
-        bad.batched, bad._batches = False, None
-        bad._groups = [(dst, srcs[:-1], init)] + good._groups[1:]
-        with pytest.raises(ScheduleViolation, match="lowering diverges"):
-            _validate_compilation(sched, bad)
-
-    def test_wrong_group_order_is_caught(self):
-        from repro.engine.executor import CompiledSchedule, _validate_compilation
-        from repro.engine.verify import ScheduleViolation
-
-        # dst2 copies dst1's accumulated value, so group order matters.
-        s = Schedule(4, 1)
-        s.copy_cell((2, 0), (0, 0))
-        s.accumulate((2, 0), (1, 0))
-        s.copy_cell((3, 0), (2, 0))
-        good = compile_schedule(s, validate=True)
-        bad = CompiledSchedule.__new__(CompiledSchedule)
-        bad.cols, bad.rows = good.cols, good.rows
-        bad.batched, bad._batches = False, None
-        bad._groups = list(reversed(good._groups))
-        with pytest.raises(ScheduleViolation, match="lowering diverges"):
-            _validate_compilation(s, bad)

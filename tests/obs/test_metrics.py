@@ -1,5 +1,5 @@
 """Gauges, histogram merging, the default registry, and Prometheus
-text exposition -- the parts grown beyond ``repro.cluster.metrics``."""
+text exposition -- the parts grown beyond the cluster's counters."""
 
 import pytest
 

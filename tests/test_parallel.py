@@ -120,9 +120,10 @@ class TestKernelWidePath:
     """The zero-copy wide path: one bound plan over the whole batch."""
 
     def test_wide_path_matches_fused_per_stripe(self, rng):
+        """The wide batch path equals per-stripe op-at-a-time coding."""
         kcode = make_code("liberation-optimal", 4, p=5, element_size=64)
         fcode = make_code(
-            "liberation-optimal", 4, p=5, element_size=64, execution="fused"
+            "liberation-optimal", 4, p=5, element_size=64, execution="streaming"
         )
         assert kcode.execution == "kernel"
         batch = filled_batch(kcode, 9, rng)
