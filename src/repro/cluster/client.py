@@ -1,14 +1,18 @@
 """Cluster client: per-node RPC with retries, and the striped array.
 
-:class:`NodeClient` is the transport layer -- one request per
-connection, a per-request timeout, bounded retries with exponential
-backoff (plus optional seeded jitter), and a metrics trail of every
-timeout, checksum failure and reconnect.  All timing -- timeouts,
-backoff sleeps, latency observations -- flows through an injectable
-:class:`~repro.sim.clock.Clock` and all byte I/O through an injectable
-:class:`~repro.sim.transport.Transport`, so the same code path runs on
-real sockets in production and on virtual time + in-memory pipes under
-:mod:`repro.sim`, where scenarios replay bit-identically from a seed.
+:class:`NodeClient` is the transport layer -- kept-open connections
+that each carry one request at a time, a per-request timeout, bounded
+retries with exponential backoff (plus optional seeded jitter), and a
+metrics trail of every timeout, checksum failure and reconnect.  A
+connection goes back on the client's idle list only after a complete,
+CRC-valid reply; a timeout, cancellation or transport error closes it,
+so a late reply can never be paired with a later request.  All timing
+-- timeouts, backoff sleeps, latency observations -- flows through an
+injectable :class:`~repro.sim.clock.Clock` and all byte I/O through an
+injectable :class:`~repro.sim.transport.Transport`, so the same code
+path runs on real sockets in production and on virtual time + in-memory
+pipes under :mod:`repro.sim`, where scenarios replay bit-identically
+from a seed.
 
 :class:`ClusterArray` is the data path: it stripes full-stripe writes
 across :class:`~repro.cluster.node.StripNode` servers (on a ``k + 2``
@@ -198,18 +202,44 @@ class NodeClient:
         #: None disables.  Safe because every verb is idempotent -- the
         #: retry loop already requires that.
         self.hedge_after = hedge_after
+        #: kept-open connections, each between requests; one in flight
+        #: is owned by its request, so this never outgrows the peak
+        #: number of concurrent requests to the node
+        self._idle: list[tuple[asyncio.StreamReader, object]] = []
+        #: connections opened, and requests that reused an idle one
+        self.connects = 0
+        self.connection_reuses = 0
 
     async def _attempt(self, header: dict, payload: bytes) -> tuple[dict, bytes]:
-        reader, writer = await self.transport.connect(self.address)
+        reader, writer = await self._checkout()
         try:
             await write_frame(writer, header, payload)
-            return await read_frame(reader)
-        finally:
+            reply = await read_frame(reader)
+        except BaseException:
+            # Timeout (cancellation), dropped peer, bad CRC or garbled
+            # framing: the stream may still carry this request's late
+            # or partial reply, so it must never serve another request.
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            raise
+        self._idle.append((reader, writer))
+        return reply
+
+    async def _checkout(self) -> tuple[asyncio.StreamReader, object]:
+        """An idle kept-open connection, else a fresh one."""
+        while self._idle:
+            reader, writer = self._idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                self.connection_reuses += 1
+                return reader, writer
+            writer.close()  # the node hung up while it sat idle
+        self.connects += 1
+        return await self.transport.connect(self.address)
+
+    def close(self) -> None:
+        """Close the idle connections (a later request reconnects)."""
+        idle, self._idle = self._idle, []
+        for _, writer in idle:
+            writer.close()
 
     async def request(
         self, verb: str, header: dict | None = None, payload: bytes = b""
@@ -496,10 +526,13 @@ class ClusterArray:
         return locs
 
     def client_for_node(self, node_id: str) -> NodeClient:
-        """Cached client for one node, rebuilt if its address changed."""
+        """Cached client for one node, rebuilt if its address changed
+        (the superseded client's idle connections are closed)."""
         address = self.membership.address_of(node_id)
         client = self.clients.get(node_id)
         if client is None or client.address != address:
+            if client is not None:
+                client.close()
             client = self.clients[node_id] = self._make_client(address)
         return client
 
@@ -806,11 +839,18 @@ class ClusterArray:
         return dict(zip(ids, stats))
 
     async def stats(self) -> dict:
-        """Aggregate view: client-side metrics plus per-node snapshots."""
+        """Aggregate view: client-side metrics, per-node channel use
+        (connections opened, requests that reused one) and per-node
+        snapshots."""
         nodes = await self.node_stats()
         return {
             "epoch": self.membership.epoch,
             "client": self.metrics.snapshot(),
+            "wire": {
+                node_id: {"connects": client.connects,
+                          "connection_reuses": client.connection_reuses}
+                for node_id, client in sorted(self.clients.items())
+            },
             "nodes": {
                 node_id: None
                 if reply is None

@@ -194,6 +194,7 @@ class HealthMonitor:
         self.on_change = on_change
         self.misses: dict[str, int] = {}
         self.healing: set[int] = set()
+        self._probe_clients: dict[str, NodeClient] = {}
         array.breakers = {
             node_id: self._new_breaker() for node_id in self.membership.probed()
         }
@@ -217,17 +218,24 @@ class HealthMonitor:
     # -- probing -------------------------------------------------------------
 
     def _probe_client(self, node_id: str) -> NodeClient:
-        # Rebuilt per probe so replacements are picked up automatically;
+        # One kept-open probe channel per node, rebuilt (the old one
+        # closed) when a replacement moves the node to a new address;
         # shares the array's seams (and metrics) for determinism.
-        array = self.array
-        return NodeClient(
-            self.membership.address_of(node_id),
-            policy=self.probe_policy,
-            metrics=array.metrics,
-            transport=array.transport,
-            clock=array.clock,
-            tracer=array.tracer,
-        )
+        address = self.membership.address_of(node_id)
+        client = self._probe_clients.get(node_id)
+        if client is None or client.address != address:
+            if client is not None:
+                client.close()
+            array = self.array
+            client = self._probe_clients[node_id] = NodeClient(
+                address,
+                policy=self.probe_policy,
+                metrics=array.metrics,
+                transport=array.transport,
+                clock=array.clock,
+                tracer=array.tracer,
+            )
+        return client
 
     async def probe_once(self) -> dict[str, bool]:
         """One heartbeat round; returns per-node liveness verdicts.
@@ -331,6 +339,7 @@ class HealthMonitor:
         return self._task
 
     async def stop(self) -> None:
+        """Stop the background loop and close the probe connections."""
         task, self._task = self._task, None
         if task is not None and not task.done():
             task.cancel()
@@ -338,6 +347,8 @@ class HealthMonitor:
                 await task
             except asyncio.CancelledError:
                 pass
+        for client in self._probe_clients.values():
+            client.close()
 
     # -- introspection -------------------------------------------------------
 

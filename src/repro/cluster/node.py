@@ -162,6 +162,8 @@ class StripNode:
         self._port = port
         self._server = None
         self._stopped = asyncio.Event()
+        #: open connections: handler task -> its reply writer
+        self._conns: dict[asyncio.Task, object] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -186,10 +188,27 @@ class StripNode:
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening socket."""
+        """Stop accepting, close every open connection and wait for
+        their handlers to exit.
+
+        Clients keep connections open between requests, so a stopped
+        node must hang up on them itself: a handler left waiting for
+        the next frame would keep the node (and its disk) alive, and
+        the listener's ``wait_closed`` waits for open connections on
+        newer Pythons.  The crash and ``shutdown`` paths call this from
+        inside a handler, which is not waited for.
+        """
         server, self._server = self._server, None
         if server is not None:
             server.close()
+            conns = dict(self._conns)
+            for writer in conns.values():
+                writer.close()
+            me = asyncio.current_task()
+            await asyncio.gather(
+                *(task for task in conns if task is not me),
+                return_exceptions=True,
+            )
             await server.wait_closed()
         self._stopped.set()
 
@@ -206,6 +225,11 @@ class StripNode:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        conns = self._conns
+        conns[task] = writer
+        gauge = self.metrics.gauge("connections_open")
+        gauge.set(len(conns))
         try:
             while True:
                 try:
@@ -215,9 +239,14 @@ class StripNode:
                 except ProtocolError:
                     self.metrics.counter("bad_frames").inc()
                     return  # unrecoverable framing state: drop the peer
-                if not await self._dispatch(header, payload, writer):
-                    return
+                try:
+                    if not await self._dispatch(header, payload, writer):
+                        return
+                except ConnectionError:
+                    return  # closed mid-reply (the node is stopping)
         finally:
+            conns.pop(task, None)
+            gauge.set(len(conns))
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()

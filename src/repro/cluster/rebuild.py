@@ -21,6 +21,7 @@ import asyncio
 from repro.cluster.client import (
     ClusterArray,
     ClusterDegradedError,
+    NodeClient,
     NodeUnavailableError,
     RemoteDiskError,
 )
@@ -108,12 +109,23 @@ class RebuildScheduler:
             if target_provider is None:
                 raise ValueError("need an address or a target_provider")
             address = await target_provider(column)
-        metrics = array.metrics
-        metrics.counter("rebuild_stripes_total").inc(array.n_stripes)
-        survivors = [c for c in range(code.n_cols) if c != column]
+        array.metrics.counter("rebuild_stripes_total").inc(array.n_stripes)
         # Share the array's transport/clock seam so rebuilds run (and
         # replay deterministically) under simulation too.
         replacement = array._make_client(address)
+        try:
+            done = await self._rebuild_onto(column, replacement)
+        finally:
+            replacement.close()
+        array.replace_node(column, address)
+        return done
+
+    async def _rebuild_onto(self, column: int, replacement: NodeClient) -> int:
+        """Decode ``column`` window by window and put it on ``replacement``."""
+        array = self.array
+        code = array.code
+        metrics = array.metrics
+        survivors = [c for c in range(code.n_cols) if c != column]
         done = 0
         for start, stop in iter_batches(array.n_stripes, self.batch_stripes):
             batch = alloc_batch(code, stop - start)
@@ -166,7 +178,6 @@ class RebuildScheduler:
             await self._freshen_dirty(start, patterns, batch, column)
             done += stop - start
             metrics.counter("rebuild_stripes_done").inc(stop - start)
-        array.replace_node(column, address)
         return done
 
     async def _freshen_dirty(

@@ -11,8 +11,9 @@ is the production default and delegates to ``asyncio.start_server`` /
 in-process pipes: a listener is an entry in a dict, a connection is a
 pair of :class:`asyncio.StreamReader` buffers cross-wired through
 :class:`MemoryStreamWriter`.  Connecting to an address nobody serves
-raises :class:`ConnectionRefusedError` and closing a writer feeds EOF
-to the peer -- exactly the failure surface the cluster's retry and
+raises :class:`ConnectionRefusedError` and closing either end of a
+connection feeds EOF to both readers, as closing a TCP socket ends
+both directions -- exactly the failure surface the cluster's retry and
 degraded-read machinery is written against, minus the kernel's timing
 noise.  Combined with :class:`~repro.sim.clock.VirtualClock` this makes
 whole cluster scenarios replay bit-identically.
@@ -86,19 +87,23 @@ class MemoryStreamWriter:
     Implements the subset of :class:`asyncio.StreamWriter` the cluster
     uses (``write``/``drain``/``close``/``wait_closed``/``is_closing``).
     Bytes feed straight into the peer's :class:`asyncio.StreamReader`;
-    ``close()`` feeds EOF, so a peer blocked in ``readexactly`` sees
+    ``close()`` feeds EOF to the readers of both ends, so a reader
+    blocked in ``readexactly`` on either end sees
     :class:`asyncio.IncompleteReadError` just as it would on a dropped
-    TCP connection.
+    TCP connection.  Bytes the other end writes after this end closed
+    are discarded.
     """
 
     def __init__(self, peer_reader: asyncio.StreamReader) -> None:
         self._peer = peer_reader
         self._closed = False
+        #: the other end's writer (set by :meth:`MemoryTransport.connect`)
+        self._twin: MemoryStreamWriter | None = None
 
     def write(self, data: bytes) -> None:
         if self._closed:
             raise ConnectionResetError("memory pipe is closed")
-        if data:
+        if data and not (self._twin is not None and self._twin._closed):
             self._peer.feed_data(bytes(data))
 
     async def drain(self) -> None:
@@ -111,6 +116,8 @@ class MemoryStreamWriter:
         if not self._closed:
             self._closed = True
             self._peer.feed_eof()
+            if self._twin is not None:
+                self._twin._peer.feed_eof()  # this end's reader
 
     def is_closing(self) -> bool:
         return self._closed
@@ -172,6 +179,7 @@ class MemoryTransport(Transport):
         server_reader = asyncio.StreamReader()
         client_writer = MemoryStreamWriter(server_reader)
         server_writer = MemoryStreamWriter(client_reader)
+        client_writer._twin, server_writer._twin = server_writer, client_writer
         task = asyncio.get_running_loop().create_task(
             handler(server_reader, server_writer)
         )

@@ -81,6 +81,33 @@ def test_peer_close_feeds_eof():
     asyncio.run(run())
 
 
+def test_close_ends_both_directions():
+    """Closing either end feeds EOF to both readers, as closing a TCP
+    socket does; bytes the far end writes afterwards are discarded."""
+
+    async def run():
+        transport = MemoryTransport()
+        served = asyncio.get_running_loop().create_future()
+
+        async def handler(reader, writer):
+            served.set_result((reader, writer))
+
+        listener = await transport.serve(handler, "127.0.0.1", 0)
+        reader, writer = await transport.connect(listener.address)
+        server_reader, server_writer = await served
+        server_writer.close()  # the server hangs up...
+        # ...and a client blocked on its own reader wakes, as does
+        # anything still reading the server's side.
+        with pytest.raises(asyncio.IncompleteReadError):
+            await asyncio.wait_for(reader.readexactly(1), 5)
+        with pytest.raises(asyncio.IncompleteReadError):
+            await asyncio.wait_for(server_reader.readexactly(1), 5)
+        writer.write(b"late")  # discarded, like a write into a reset socket
+        assert server_reader.at_eof()
+
+    asyncio.run(run())
+
+
 def test_write_after_close_raises_reset():
     async def run():
         transport = MemoryTransport()
