@@ -51,10 +51,10 @@ async def demo() -> None:
         # Background rebuild onto fresh nodes, while the array serves.
         for col in victims:
             address = await cluster.start_replacement(col)
-            scheduler = RebuildScheduler(arr, batch_stripes=4, workers=2)
-            scheduler.start(col, address)
+            scheduler = RebuildScheduler(arr, batch_stripes=4)
+            task = asyncio.create_task(scheduler.rebuild_column(col, address))
             await arr.read(0, 2048)  # traffic keeps flowing mid-rebuild
-            rebuilt = await scheduler.wait()
+            rebuilt = await task
             cluster.promote_replacement(col)
             done, total = scheduler.progress
             print(f"rebuilt column {col}: {rebuilt} stripes ({done}/{total})")

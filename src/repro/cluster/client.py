@@ -32,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import random
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,6 +44,7 @@ from repro.cluster.protocol import FrameChecksumError, ProtocolError, read_frame
 from repro.codes.base import RAID6Code
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
+from repro.parallel import BatchCoder, alloc_batch
 from repro.sim.clock import Clock, RealClock
 from repro.sim.transport import AsyncioTransport, Transport
 from repro.utils.words import WORD_DTYPE
@@ -402,7 +404,9 @@ class ClusterArray:
     while at most two columns are lost (in any mix of stopped nodes,
     network faults and disk errors); writes skip unreachable columns
     the way a degraded array skips failed disks, leaving the stripe
-    recoverable through the parity that *was* written.
+    recoverable through the parity that *was* written.  The skipped
+    columns stay stale after their node returns, and every path that
+    assembles a stripe decodes around them (:meth:`assemble_window`).
 
     Every strip routes through :meth:`holders` -- the authoritative
     ``stripe -> node ids`` map in :attr:`locations` -- over the
@@ -474,8 +478,9 @@ class ClusterArray:
         #: per-node circuit breakers, installed by
         #: :class:`repro.cluster.health.HealthMonitor`; absent = no gating
         self.breakers: dict[str, CircuitBreaker] = {}
-        #: stripes whose last write skipped columns -- the scrubber's
-        #: priority queue (stripe -> set of stale columns)
+        #: stripe -> its stale columns (skipped by a write); changed
+        #: only by the stale-column methods below, and the scrubber's
+        #: priority queue.  In memory: a restarted client forgets it.
         self.dirty_stripes: dict[int, set[int]] = {}
         #: stripes with a migration in flight (set by the rebalancer);
         #: readers of such a stripe wait for the flip instead of racing
@@ -652,25 +657,9 @@ class ClusterArray:
             stripe=stripe,
         )
 
-    async def _gather_columns(
-        self, stripe: int, columns: list[int], buf: np.ndarray
-    ) -> list[int]:
-        """Fetch ``columns`` into ``buf`` concurrently; returns the losers."""
-        results = await asyncio.gather(
-            *(self._fetch_strip(c, stripe) for c in columns), return_exceptions=True
-        )
-        missing: list[int] = []
-        for col, res in zip(columns, results):
-            if isinstance(res, (NodeUnavailableError, RemoteDiskError)):
-                missing.append(col)
-            elif isinstance(res, BaseException):
-                raise res
-            else:
-                buf[col] = res
-        return missing
-
     def stripe_lock(self, stripe: int) -> asyncio.Lock:
-        """Per-stripe lock shared by foreground writes and migrations."""
+        """Per-stripe lock shared by foreground writes, migrations and
+        the repairers that write decoded strips back (scrub, rebuild)."""
         lock = self._stripe_locks.get(stripe)
         if lock is None:
             lock = self._stripe_locks[stripe] = asyncio.Lock()
@@ -679,40 +668,15 @@ class ClusterArray:
     # -- stripe I/O --------------------------------------------------------
 
     async def read_stripe(self, stripe: int) -> np.ndarray:
-        """Assemble one stripe buffer, decoding around lost columns.
-
-        The sunny-day path touches only the ``k`` data columns; any
-        loss widens the fetch to the parity columns and runs the
-        erasure decode on the survivors.
-        """
+        """Assemble one stripe buffer, decoding around lost and stale
+        columns (see :meth:`assemble`)."""
         self._check_stripe(stripe)
         if stripe in self.migrating:
             # A migration of this stripe is in its hazard window; wait
             # for the routing flip rather than read a half-moved state.
             async with self.stripe_lock(stripe):
                 pass
-        return await self._read_stripe(stripe)
-
-    async def _read_stripe(self, stripe: int) -> np.ndarray:
-        """:meth:`read_stripe` without the migration gate (the migrator
-        itself reads under the stripe lock)."""
-        code = self.code
-        buf = code.alloc_stripe()
-        missing = await self._gather_columns(stripe, list(range(code.k)), buf)
-        if missing:
-            parity_lost = await self._gather_columns(
-                stripe, [code.p_col, code.q_col], buf
-            )
-            missing = sorted(missing + parity_lost)
-            if len(missing) > 2:
-                raise ClusterDegradedError(
-                    f"stripe {stripe}: columns {missing} lost; RAID-6 tolerates 2"
-                )
-            for col in missing:
-                buf[col] = 0
-            code.decode(buf, missing)
-            self.metrics.counter("decodes").inc()
-            self.metrics.counter("degraded_reads").inc()
+        buf, _ = await self.assemble(stripe)
         return buf
 
     async def write_stripe(
@@ -724,8 +688,7 @@ class ClusterArray:
         write semantics -- unless that would leave the stripe beyond
         RAID-6 tolerance, which raises :class:`ClusterDegradedError`.
         Returns the columns *skipped* (empty means fully durable), and
-        records them in :attr:`dirty_stripes` so the scrubber repairs
-        the stale columns first once their nodes return.
+        records them as stale (:meth:`record_write`).
         """
         self._check_stripe(stripe)
         cols = list(range(self.code.n_cols)) if columns is None else list(columns)
@@ -746,11 +709,135 @@ class ClusterArray:
                 raise ClusterDegradedError(
                     f"stripe {stripe}: write lost columns {skipped}"
                 )
-            self.dirty_stripes.setdefault(stripe, set()).update(skipped)
-        elif columns is None:
-            # A clean full-stripe write supersedes any stale columns.
-            self.dirty_stripes.pop(stripe, None)
+        self.record_write(stripe, [c for c in cols if c not in skipped], skipped)
         return skipped
+
+    # -- stale columns -------------------------------------------------------
+    #
+    # A degraded write leaves the skipped columns' strips stale: when
+    # their node returns, it answers reads with bytes the stripe no
+    # longer holds.  :attr:`dirty_stripes` names them, and these methods
+    # are the only code that changes it or turns it into erasures, so
+    # every reader and repairer (reads, RMW, scrub, rebuild, migration,
+    # 2PC) treats a stale strip as the known erasure it is -- one parity
+    # to recover, where an unknown error costs two and must first be
+    # located.
+
+    def record_write(
+        self, stripe: int, written: Iterable[int], skipped: Iterable[int] = ()
+    ) -> None:
+        """Note that a write landed fresh strips on ``written`` columns
+        of ``stripe`` and missed ``skipped`` ones, which are now stale."""
+        stale = self.dirty_stripes.get(stripe, set()) - set(written) | set(skipped)
+        if stale:
+            self.dirty_stripes[stripe] = stale
+        else:
+            self.dirty_stripes.pop(stripe, None)
+
+    async def assemble(
+        self, stripe: int, columns: Iterable[int] | None = None
+    ) -> tuple[np.ndarray, list[int]]:
+        """One stripe's buffer holding ``columns`` (default: the data
+        columns), and the erasures decoded to fill them (empty when no
+        decode was needed).  See :meth:`assemble_window`."""
+        batch, patterns = await self.assemble_window([stripe], columns)
+        if patterns[0]:
+            self.metrics.counter("decodes").inc()
+            self.metrics.counter("degraded_reads").inc()
+        return batch[0], patterns[0]
+
+    async def assemble_window(
+        self,
+        stripes: Sequence[int],
+        columns: Iterable[int] | None = None,
+        *,
+        lost: Collection[int] = (),
+        coder: BatchCoder | None = None,
+    ) -> tuple[np.ndarray, list[list[int]]]:
+        """Assemble ``columns`` (default: the data columns) of each stripe.
+
+        Only trusted strips are fetched: a column in ``lost``, or stale
+        on a stripe, is an erasure without a fetch, and a column that
+        fails to answer on any stripe of the window is an erasure on
+        all of them.  The first round fetches the trusted ones of
+        ``columns``; when a stripe misses one of them, a second round
+        fetches its other trusted columns.  A stripe with a needed
+        column erased is decoded -- through ``coder`` when the whole
+        window shares one pattern, else stripe by stripe -- and more
+        than two erasures raise :class:`ClusterDegradedError`.
+
+        Returns the ``(len(stripes), total_cols, rows, words)`` batch
+        and, per stripe, the erasures it was decoded around (empty when
+        its columns all arrived).
+        """
+        code = self.code
+        need = list(range(code.k)) if columns is None else sorted(columns)
+        every = range(code.n_cols)
+        known = [self.dirty_stripes.get(s, set()).union(lost) for s in stripes]
+        batch = alloc_batch(code, len(stripes))
+        tried = [[c for c in need if c not in gone] for gone in known]
+        failed = await self._fetch_window(stripes, tried, batch)
+        more = [
+            [c for c in every if c not in gone and c not in cols]
+            if not (gone.isdisjoint(need) and failed.isdisjoint(need)) else []
+            for gone, cols in zip(known, tried)
+        ]
+        if any(more):
+            failed |= await self._fetch_window(stripes, more, batch)
+        patterns: list[list[int]] = []
+        for i, s in enumerate(stripes):
+            got = set(tried[i] + more[i]) - failed
+            erased = [] if got.issuperset(need) else [c for c in every if c not in got]
+            if len(erased) > 2:
+                raise ClusterDegradedError(
+                    f"stripe {s}: columns {erased} lost or stale; RAID-6 tolerates 2"
+                )
+            if erased:
+                batch[i, erased] = 0
+            patterns.append(erased)
+        if coder is not None and all(patterns) and len(set(map(tuple, patterns))) == 1:
+            coder.decode(batch, patterns[0])
+        else:
+            for i, erased in enumerate(patterns):
+                if erased:
+                    code.decode(batch[i], erased)
+        return batch, patterns
+
+    async def _fetch_window(
+        self, stripes: Sequence[int], columns: list[list[int]], batch: np.ndarray
+    ) -> set[int]:
+        """Fetch ``columns[i]`` of ``stripes[i]`` into ``batch[i]``, all
+        concurrently; returns the columns that failed on any stripe."""
+        jobs = [(i, c) for i, cols in enumerate(columns) for c in cols]
+        results = await asyncio.gather(
+            *(self._fetch_strip(c, stripes[i]) for i, c in jobs),
+            return_exceptions=True,
+        )
+        failed: set[int] = set()
+        for (i, col), res in zip(jobs, results):
+            if isinstance(res, (NodeUnavailableError, RemoteDiskError)):
+                failed.add(col)
+            elif isinstance(res, BaseException):
+                raise res
+            else:
+                batch[i, col] = res
+        return failed
+
+    async def write_back(
+        self, stripe: int, buf: np.ndarray, columns: Iterable[int] | None = None
+    ) -> list[int]:
+        """Store decoded strips of ``buf`` on ``columns`` (default: the
+        stripe's stale columns), one at a time, and clear the stale mark
+        of each one written; returns the columns that could not be."""
+        cols = sorted(self.dirty_stripes.get(stripe, ()) if columns is None else columns)
+        failed: list[int] = []
+        for col in cols:
+            try:
+                await self._store_strip(col, stripe, buf[col])
+            except (NodeUnavailableError, RemoteDiskError):
+                failed.append(col)
+        self.record_write(stripe, [c for c in cols if c not in failed])
+        return failed
 
     # -- byte-addressed user I/O -------------------------------------------
 

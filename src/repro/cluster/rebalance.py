@@ -6,10 +6,11 @@ current membership epoch says they *should* be).  One stripe's
 migration is a small two-phase transaction per moving column, reusing
 the node's intent log and idempotent ``commit`` verb:
 
-1. **Assemble** -- read the stripe through the decode path (dead or
-   faulty sources are reconstructed like any degraded read) and
-   re-encode parity, so the migrated image is internally consistent
-   even when the source copy was stale.
+1. **Assemble** -- read the stripe through
+   :meth:`ClusterArray.assemble`, the path every reader and repairer
+   shares: dead, faulty and stale sources are decoded around like any
+   degraded read, and the parity is re-encoded, so the migrated image
+   is internally consistent even when a source copy was stale.
 2. **Stage** -- ``migrate-in`` logs the strip image as an intent on the
    target; the reply's CRC-32 must match the locally computed one, so
    a frame mangled in flight dies here, before anything is durable.
@@ -21,9 +22,9 @@ the node's intent log and idempotent ``commit`` verb:
    this leaves the sources authoritative (all-old); after it, the
    verified targets serve (all-new).  Never split, never lost.
 5. **Verify + release** -- the stripe is re-read through the *new*
-   route and compared byte-for-byte (the decode-path check), then each
-   source strip is released, fenced by the CRC the source currently
-   advertises.
+   route and compared byte-for-byte (the decode-path check), the moved
+   columns lose any stale mark, then each source strip is released,
+   fenced by the CRC the source currently advertises.
 
 Transaction ids are deterministic -- ``mig-<stripe>-<crc>`` --
 so a coordinator that crashes and re-runs finds its own half-done work
@@ -111,7 +112,6 @@ class Rebalancer:
         burst_bytes: float | None = None,
         foreground_gate=None,
         gate_backoff: float = 0.05,
-        verify_reads: bool = True,
         crash: TxnCrashPoint | None = None,
     ) -> None:
         self.array = array
@@ -129,7 +129,6 @@ class Rebalancer:
         #: checked between stripes, never mid-migration
         self.foreground_gate = foreground_gate
         self.gate_backoff = float(gate_backoff)
-        self.verify_reads = bool(verify_reads)
         self.crash = crash if crash is not None else TxnCrashPoint()
         self._task: asyncio.Task | None = None
 
@@ -246,31 +245,11 @@ class Rebalancer:
         array = self.array
         code = array.code
 
-        # 1. assemble through the decode path, re-encode for parity
-        # consistency (read_stripe leaves unfetched parity columns
-        # zero).  The base-class read bypasses the elastic override's
-        # migration gate -- we hold this stripe's lock ourselves.
-        # Columns on the dirty list answered their last write stale, so
-        # they join the erasure set: the decode recovers their fresh
-        # strips instead of copying old bytes into the new placement.
-        stale = set(array.dirty_stripes.get(stripe, ()))
-        if stale:
-            buf = code.alloc_stripe()
-            missing = await array._gather_columns(
-                stripe, list(range(code.n_cols)), buf
-            )
-            erasures = sorted(set(missing) | stale)
-            if len(erasures) > 2:
-                raise RebalanceError(
-                    f"stripe {stripe}: columns {erasures} lost or stale; "
-                    "RAID-6 tolerates 2"
-                )
-            for col in erasures:
-                buf[col] = 0
-            code.decode(buf, erasures)
-            array.metrics.counter("decodes").inc()
-        else:
-            buf = await array._read_stripe(stripe)
+        # 1. assemble through the shared decode path (lost and stale
+        # columns are erasures, so a stale source is never copied into
+        # the new placement), then re-encode the parity it left unfetched.
+        # We hold this stripe's lock ourselves, so no migration gate.
+        buf, _ = await array.assemble(stripe)
         code.encode(buf)
 
         payloads: dict[int, bytes] = {}
@@ -313,9 +292,6 @@ class Rebalancer:
 
         # 4. flip: the atomic commit point of the whole migration
         array.locations[stripe] = tuple(target)
-        # Every column just landed a freshly encoded strip, so any
-        # stale-column marks from degraded writes are now satisfied.
-        array.dirty_stripes.pop(stripe, None)
         array.membership.bump()
         array.metrics.counter("stripes_migrated").inc()
         array.metrics.counter("migration_bytes").inc(
@@ -323,18 +299,16 @@ class Rebalancer:
         )
 
         # 5. decode-path verification through the new route, then release
-        if self.verify_reads:
-            check = await array._read_stripe(stripe)
-            if bytes(array._stripe_payload(check)) != bytes(
-                array._stripe_payload(buf)
-            ):
-                # The new copies verified strip-by-strip but the stripe
-                # does not read back: revert routing and fail loudly.
-                array.locations[stripe] = tuple(current)
-                array.membership.bump()
-                raise RebalanceError(
-                    f"stripe {stripe}: post-flip read-back diverged"
-                )
+        check, _ = await array.assemble(stripe)
+        if bytes(array._stripe_payload(check)) != bytes(array._stripe_payload(buf)):
+            # The new copies verified strip-by-strip but the stripe
+            # does not read back: revert routing and fail loudly.
+            array.locations[stripe] = tuple(current)
+            array.membership.bump()
+            raise RebalanceError(f"stripe {stripe}: post-flip read-back diverged")
+        # The moved columns now hold freshly encoded strips; a stale
+        # column that stayed put stays stale.
+        array.record_write(stripe, moving)
         await self._release_sources(stripe, current, target, moving)
 
     async def _release_sources(

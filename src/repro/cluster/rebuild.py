@@ -3,29 +3,27 @@
 The distributed analogue of :meth:`repro.array.raid6.RAID6Array.rebuild`:
 stripes are streamed in bounded windows (``repro.parallel.iter_batches``)
 through a :class:`~repro.parallel.BatchCoder` -- the same batch decode
-path the throughput benchmarks exercise, optionally multi-threaded --
-and the reconstructed strips are pushed to a fresh node.  Because the
-scheduler is an ordinary asyncio task, the array keeps serving reads
-and writes while the rebuild drains in the background; progress is
-visible live through the ``rebuild_*`` counters.
+path the throughput benchmarks exercise -- and the reconstructed strips
+are pushed to a fresh node.  Because the scheduler is an ordinary
+asyncio task, the array keeps serving reads and writes while the
+rebuild drains in the background (a write to a stripe of the window in
+flight waits for it); progress is visible live through the
+``rebuild_*`` counters.
 
 A rebuild tolerates a *second* concurrent loss: whatever columns turn
 out to be unreachable while fetching a window are simply added to that
-window's erasure pattern, up to the code's two-column budget.
+window's erasure pattern, up to the code's two-column budget.  Stale
+columns (skipped by a degraded write) are erasures too, so their fresh
+strips come out of the same decode and are written back.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
-from repro.cluster.client import (
-    ClusterArray,
-    ClusterDegradedError,
-    NodeClient,
-    NodeUnavailableError,
-    RemoteDiskError,
-)
-from repro.parallel import BatchCoder, alloc_batch, iter_batches
+from repro.cluster.client import ClusterArray, NodeClient
+from repro.parallel import BatchCoder, iter_batches
 
 __all__ = ["RebuildScheduler"]
 
@@ -34,18 +32,18 @@ class RebuildScheduler:
     """Streams a column rebuild through batch decodes.
 
     ``batch_stripes`` bounds memory (one window of stripe buffers);
-    ``workers`` is handed to :class:`~repro.parallel.BatchCoder`, so a
-    window's decodes can spread across threads while the event loop
-    keeps serving traffic.
+    each window is assembled by :meth:`ClusterArray.assemble_window`
+    and, when every stripe in it shares one erasure pattern, decoded in
+    one call of :attr:`coder` (a :class:`~repro.parallel.BatchCoder`).
+    Run it in the background with
+    ``asyncio.create_task(scheduler.rebuild_column(column, address))``:
+    the array keeps serving while it drains.
     """
 
-    def __init__(
-        self, array: ClusterArray, *, batch_stripes: int = 16, workers: int = 1
-    ) -> None:
+    def __init__(self, array: ClusterArray, *, batch_stripes: int = 16) -> None:
         self.array = array
         self.batch_stripes = int(batch_stripes)
-        self.coder = BatchCoder(array.code, workers=workers)
-        self._task: asyncio.Task | None = None
+        self.coder = BatchCoder(array.code)
 
     # -- progress ----------------------------------------------------------
 
@@ -55,40 +53,12 @@ class RebuildScheduler:
         m = self.array.metrics
         return m.get("rebuild_stripes_done"), m.get("rebuild_stripes_total")
 
-    # -- background driving ------------------------------------------------
-
-    def start(self, column: int, address: tuple[str, int]) -> asyncio.Task:
-        """Launch ``rebuild_column`` as a background task."""
-        if self._task is not None and not self._task.done():
-            raise RuntimeError("a rebuild is already running")
-        self._task = asyncio.get_running_loop().create_task(
-            self.rebuild_column(column, address)
-        )
-        return self._task
-
-    async def wait(self) -> int:
-        """Await the background rebuild; returns stripes rebuilt."""
-        if self._task is None:
-            raise RuntimeError("no rebuild was started")
-        return await self._task
-
     # -- the rebuild proper ------------------------------------------------
 
-    async def rebuild_column(
-        self,
-        column: int,
-        address: tuple[str, int] | None = None,
-        *,
-        target_provider=None,
-    ) -> int:
-        """Reconstruct ``column`` onto a replacement node.
+    async def rebuild_column(self, column: int, address: tuple[str, int]) -> int:
+        """Reconstruct ``column`` onto the replacement node at ``address``.
 
-        The target is either a fixed ``address`` or, when ``address``
-        is None, whatever the async ``target_provider(column)``
-        callable picks at rebuild time -- the hook that lets healing
-        choose placement-driven targets (a spare pool, the membership
-        table's join queue) instead of a hard-wired spare.  The
-        replacement node must already be listening (a blank
+        The replacement must already be listening (a blank
         :class:`~repro.cluster.node.StripNode` of the same geometry).
         On success the node that held the column takes the new
         address (:meth:`ClusterArray.replace_node`), restoring full
@@ -105,10 +75,6 @@ class RebuildScheduler:
         if not 0 <= column < code.n_cols:
             raise ValueError(f"column {column} out of range [0, {code.n_cols})")
         array.column_node(column)
-        if address is None:
-            if target_provider is None:
-                raise ValueError("need an address or a target_provider")
-            address = await target_provider(column)
         array.metrics.counter("rebuild_stripes_total").inc(array.n_stripes)
         # Share the array's transport/clock seam so rebuilds run (and
         # replay deterministically) under simulation too.
@@ -123,84 +89,33 @@ class RebuildScheduler:
     async def _rebuild_onto(self, column: int, replacement: NodeClient) -> int:
         """Decode ``column`` window by window and put it on ``replacement``."""
         array = self.array
-        code = array.code
-        metrics = array.metrics
-        survivors = [c for c in range(code.n_cols) if c != column]
         done = 0
         for start, stop in iter_batches(array.n_stripes, self.batch_stripes):
-            batch = alloc_batch(code, stop - start)
-
-            async def fetch(i: int, col: int) -> int | None:
-                try:
-                    batch[i, col] = await array._fetch_strip(col, start + i)
-                    return None
-                except (NodeUnavailableError, RemoteDiskError):
-                    return col
-
-            results = await asyncio.gather(
-                *(fetch(i, col) for i in range(stop - start) for col in survivors)
-            )
-            also_lost = sorted({col for col in results if col is not None})
-            base = {column, *also_lost}
-            # Columns on the dirty list hold *stale* strips: they
-            # answered the fetch, but with pre-degraded-write data.
-            # Folding them into the erasure pattern keeps the rebuild
-            # from baking old bytes into the replacement -- and the
-            # decode recovers their fresh strips as a by-product.
-            patterns: list[tuple[int, ...]] = []
-            for i in range(stop - start):
-                stale = array.dirty_stripes.get(start + i, set())
-                erasures = sorted(base | set(stale))
-                if len(erasures) > 2:
-                    raise ClusterDegradedError(
-                        f"rebuild window [{start}, {stop}): columns {erasures} "
-                        "lost or stale"
-                    )
-                for col in erasures:
-                    batch[i, col] = 0
-                patterns.append(tuple(erasures))
-            # The batch decode runs in worker threads (NumPy XOR kernels
-            # release the GIL); yield first so queued traffic proceeds.
-            await asyncio.sleep(0)
-            if len(set(patterns)) == 1:
-                self.coder.decode(batch, list(patterns[0]))
-            else:  # mixed dirtiness: per-stripe patterns
-                for i, erasures in enumerate(patterns):
-                    code.decode(batch[i], list(erasures))
-            await asyncio.gather(
-                *(
-                    replacement.request(
-                        "put", {"stripe": start + i}, batch[i, column].data
-                    )
-                    for i in range(stop - start)
+            stripes = range(start, stop)
+            async with contextlib.AsyncExitStack() as locks:
+                # A write landing between the window's decode and its
+                # puts would be lost on the replacement: hold it off.
+                for s in stripes:
+                    await locks.enter_async_context(array.stripe_lock(s))
+                # The column is lost on every stripe; the window's other
+                # losses and each stripe's stale columns join it, so the
+                # stale strips are decoded too rather than trusted.
+                batch, _ = await array.assemble_window(
+                    stripes, [column], lost=[column], coder=self.coder
                 )
-            )
-            await self._freshen_dirty(start, patterns, batch, column)
+                # Let queued foreground reads run before the puts.
+                await asyncio.sleep(0)
+                await asyncio.gather(
+                    *(
+                        replacement.request("put", {"stripe": s}, batch[i, column].data)
+                        for i, s in enumerate(stripes)
+                    )
+                )
+                for i, s in enumerate(stripes):
+                    # The replacement holds fresh bytes; the stripe's
+                    # other stale columns get theirs from the same decode.
+                    array.record_write(s, [column])
+                    await array.write_back(s, batch[i])
             done += stop - start
-            metrics.counter("rebuild_stripes_done").inc(stop - start)
+            array.metrics.counter("rebuild_stripes_done").inc(stop - start)
         return done
-
-    async def _freshen_dirty(
-        self, start: int, patterns: list, batch, column: int
-    ) -> None:
-        """Push decoded strips back to stale-but-reachable columns.
-
-        The rebuilt column itself comes off each stripe's dirty set (the
-        replacement got fresh bytes above); other stale columns take a
-        direct rewrite, or stay listed for the scrubber if unreachable.
-        """
-        array = self.array
-        for i, erasures in enumerate(patterns):
-            stripe = start + i
-            dirty = array.dirty_stripes.get(stripe)
-            if not dirty:
-                continue
-            dirty.discard(column)
-            for col in sorted(set(dirty) & set(erasures)):
-                try:
-                    await array._store_strip(col, stripe, batch[i, col])
-                except (NodeUnavailableError, RemoteDiskError):
-                    continue
-                dirty.discard(col)
-            if not dirty:
-                array.dirty_stripes.pop(stripe, None)

@@ -11,8 +11,9 @@ Two economies keep a routine pass cheap:
 
 * **Dirty-first** -- stripes whose last write skipped columns
   (:attr:`ClusterArray.dirty_stripes`) are scrubbed before anything
-  else, because they are *known* stale and the locator repairs them
-  the moment their node is back.
+  else: their stale columns are known erasures, so the shared assembly
+  path (:meth:`ClusterArray.assemble`) decodes them exactly and the
+  scrubber writes them back the moment their node is back.
 * **Checksum fast path** -- for the remaining stripes the scrubber
   first issues ``scrub-read`` probes: each node compares its strip
   against its CRC-32 sidecar locally and answers with a verdict, no
@@ -38,12 +39,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from repro.cluster.client import (
-    ClusterArray,
-    ClusterError,
-    NodeUnavailableError,
-    RemoteDiskError,
-)
+from repro.cluster.client import ClusterArray, ClusterDegradedError, ClusterError
 from repro.codes.liberation import LiberationCode
 from repro.core.error_correction import ScanStatus, locate_and_correct
 from repro.parallel import iter_batches
@@ -138,87 +134,61 @@ class ClusterScrubber:
     async def scrub_stripe(
         self, stripe: int, *, repair: bool = True
     ) -> ClusterScrubReport:
-        """Full verify (and repair) of one stripe; returns a 1-stripe report."""
-        array, code = self.array, self.array.code
-        report = ClusterScrubReport(stripes_scanned=1)
-        buf = code.alloc_stripe()
-        missing = await array._gather_columns(
-            stripe, list(range(code.n_cols)), buf
-        )
-        # Known-stale columns (degraded writes) join the erasure set:
-        # the dirty list converts an unknown-error problem into a
-        # known-erasure one, so even *two* stale columns decode exactly
-        # where the locator could repair at most one.
-        stale = sorted(set(missing) | set(array.dirty_stripes.get(stripe, ())))
+        """Full verify (and repair) of one stripe; returns a 1-stripe report.
 
-        if len(stale) > 2:
-            report.stripes_deferred += 1
-            report.deferred.append(stripe)
-            return report
-
-        if stale:
-            # Erasure-type damage: decode the lost strips and push them
-            # back to any column that will take a write (latent sectors
-            # heal on rewrite; a down node stays deferred).
-            for col in stale:
-                buf[col] = 0
-            code.decode(buf, stale)
-            array.metrics.counter("decodes").inc()
-            healed = True
-            dirty = array.dirty_stripes.get(stripe)
-            for col in stale:
-                if not repair:
-                    healed = False
-                    continue
-                try:
-                    await array._store_strip(col, stripe, buf[col])
-                except (NodeUnavailableError, RemoteDiskError):
-                    healed = False
-                else:
-                    report.stripes_corrected += 1
-                    report.corrected.append((stripe, col))
-                    array.metrics.counter("scrub_stripes_corrected").inc()
-                    if dirty is not None:
-                        dirty.discard(col)
-            if not healed:
-                report.stripes_deferred += 1
-                report.deferred.append(stripe)
-            if dirty is not None and not dirty:
-                array.dirty_stripes.pop(stripe, None)
-            return report
-
-        if code.verify(buf):
-            report.stripes_clean += 1
-            array.dirty_stripes.pop(stripe, None)
-            return report
-
-        if not (self._can_locate and repair):
-            report.stripes_detected_only += 1
-            report.detected_only.append(stripe)
-            array.metrics.counter("scrub_detected_only").inc()
-            return report
-
-        result = locate_and_correct(code.geometry, buf)
-        if result.status is ScanStatus.CORRECTED:
+        Holds the stripe lock from the read to the repair, so a write
+        cannot land in between and be overwritten by older bytes.
+        """
+        async with self.array.stripe_lock(stripe):
+            array, code = self.array, self.array.code
+            report = ClusterScrubReport(stripes_scanned=1)
             try:
-                await array._store_strip(result.column, stripe, buf[result.column])
-            except (NodeUnavailableError, RemoteDiskError):
+                buf, erased = await array.assemble(stripe, range(code.n_cols))
+            except ClusterDegradedError:
                 report.stripes_deferred += 1
                 report.deferred.append(stripe)
                 return report
-            report.stripes_corrected += 1
-            report.corrected.append((stripe, result.column))
-            array.metrics.counter("scrub_stripes_corrected").inc()
-            dirty = array.dirty_stripes.get(stripe)
-            if dirty is not None:
-                dirty.discard(result.column)
-                if not dirty:
-                    array.dirty_stripes.pop(stripe, None)
-        else:
-            report.stripes_uncorrectable += 1
-            report.uncorrectable.append(stripe)
-            array.metrics.counter("scrub_uncorrectable").inc()
-        return report
+
+            if erased:
+                # Erasure-type damage -- lost strips and the stripe's stale
+                # columns, decoded exactly -- goes back to any column that
+                # will take a write (latent sectors heal on rewrite; a down
+                # node stays deferred).
+                failed = await array.write_back(stripe, buf, erased) if repair else erased
+                for col in erased:
+                    if col not in failed:
+                        report.stripes_corrected += 1
+                        report.corrected.append((stripe, col))
+                        array.metrics.counter("scrub_stripes_corrected").inc()
+                if failed:
+                    report.stripes_deferred += 1
+                    report.deferred.append(stripe)
+                return report
+
+            if code.verify(buf):
+                report.stripes_clean += 1
+                return report
+
+            if not (self._can_locate and repair):
+                report.stripes_detected_only += 1
+                report.detected_only.append(stripe)
+                array.metrics.counter("scrub_detected_only").inc()
+                return report
+
+            result = locate_and_correct(code.geometry, buf)
+            if result.status is ScanStatus.CORRECTED:
+                if await array.write_back(stripe, buf, [result.column]):
+                    report.stripes_deferred += 1
+                    report.deferred.append(stripe)
+                    return report
+                report.stripes_corrected += 1
+                report.corrected.append((stripe, result.column))
+                array.metrics.counter("scrub_stripes_corrected").inc()
+            else:
+                report.stripes_uncorrectable += 1
+                report.uncorrectable.append(stripe)
+                array.metrics.counter("scrub_uncorrectable").inc()
+            return report
 
     # -- one pass ------------------------------------------------------------
 

@@ -121,8 +121,8 @@ class TwoPhaseWriter:
 
         Degraded-write semantics match
         :meth:`ClusterArray.write_stripe`: unreachable columns are
-        excluded from the transaction (their stale strips go on the
-        dirty list for the scrubber), up to the RAID-6 budget of two --
+        excluded from the transaction (:meth:`ClusterArray.record_write`
+        marks their strips stale), up to the RAID-6 budget of two --
         beyond that the transaction aborts and
         :class:`ClusterDegradedError` is raised.  Returns the skipped
         columns; the stripe is all-new on the participants when the
@@ -153,6 +153,9 @@ class TwoPhaseWriter:
                 f"stripe {stripe}: txn {txn} lost columns {skipped}"
             )
 
+        # The decision is commit: the skipped columns miss this write
+        # whatever happens next, even if this writer dies mid-commit.
+        array.record_write(stripe, [], skipped)
         committed_somewhere = False
         dirty: list[int] = []
         for col in prepared:
@@ -172,9 +175,7 @@ class TwoPhaseWriter:
 
         if skipped or dirty:
             array.metrics.counter("degraded_writes").inc()
-            array.dirty_stripes.setdefault(stripe, set()).update(skipped + dirty)
-        elif not skipped:
-            array.dirty_stripes.pop(stripe, None)
+        array.record_write(stripe, [c for c in prepared if c not in dirty], dirty)
         return skipped
 
     async def _abort(self, txn: str, columns: list[int], *, stripe: int) -> None:
@@ -202,17 +203,19 @@ class TwoPhaseWriter:
         array = self.array
         nodes = array.membership.serving()
 
-        async def intents_of(node_id: str) -> list[dict]:
+        async def intents_of(node_id: str) -> list[dict] | None:
             try:
                 reply, _ = await array.client_for_node(node_id).request("intents")
             except ClusterError:
-                return []
+                return None
             return list(reply.get("txns", ()))
 
         found = await asyncio.gather(*(intents_of(n) for n in nodes))
+        #: nodes whose intents are unknown: a commit may not reach them
+        unseen = [n for n, recs in zip(nodes, found) if recs is None]
         pending: dict[str, dict] = {}
         for node_id, recs in zip(nodes, found):
-            for rec in recs:
+            for rec in recs or ():
                 if rec["txn"].startswith("mig-"):
                     continue
                 entry = pending.setdefault(
@@ -241,15 +244,24 @@ class TwoPhaseWriter:
                     commit = True
                     break
             verb = "commit" if commit else "abort"
+            rolled: list[str] = []
+            missed = list(unseen)
             for node_id in entry["holders"]:
                 try:
                     await array.client_for_node(node_id).request(verb, {"txn": txn})
                 except ClusterError:
-                    continue  # next recovery pass finishes the job
-                if commit and node_id in holders:
-                    array.dirty_stripes.get(entry["stripe"], set()).discard(
-                        holders.index(node_id)
-                    )
+                    # Next recovery pass finishes the job; until then a
+                    # committed txn's strip here, or on an unseen node,
+                    # is stale.
+                    missed.append(node_id)
+                    continue
+                rolled.append(node_id)
+            if commit:
+                array.record_write(
+                    entry["stripe"],
+                    [holders.index(n) for n in rolled if n in holders],
+                    [holders.index(n) for n in missed if n in holders],
+                )
             (rolled_forward if commit else rolled_back).append(txn)
             array.metrics.counter(
                 "txn_rolled_forward" if commit else "txn_rolled_back"

@@ -64,8 +64,11 @@ class VirtualClock(Clock):
     through the ready queue before concluding the loop has quiesced;
     each cycle runs *every* currently ready callback, so the default
     comfortably covers the deepest RPC chains in the cluster stack.
-    The value only affects how conservatively time advances, never the
-    results: all in-simulation work is deterministic either way.
+    The value sets how many loop passes time waits before it jumps to
+    the next sleeper, so it moves the virtual timestamps a scenario
+    records (its trace ``t`` values, and with them its digest), but not
+    op results or read hashes: all in-simulation work is deterministic
+    either way.
     """
 
     def __init__(self, start: float = 0.0, *, settle_yields: int = 20) -> None:

@@ -98,7 +98,8 @@ GEOMETRY_ELEMENTS = (8, 16, 32)
 #: scrubber and health monitor attached); plain scenarios never
 #: construct them, so pre-chaos seeds keep their historical digests.
 CHAOS_OPS = frozenset(
-    {"corrupt", "scrub", "txn_write", "recover", "heal", "check_quiescent"}
+    {"corrupt", "scrub", "txn_write", "recover", "heal", "check_quiescent",
+     "restart_node"}
 )
 
 #: Op kinds of the object-traffic vocabulary.  Like :data:`CHAOS_OPS`,
@@ -204,7 +205,9 @@ def generate_scenario(
     ``chaos`` widens the op vocabulary with the self-healing verbs --
     silent corruption (always followed by a scrub so reads stay within
     the single-column guarantee), scrub passes, two-phase writes with
-    client crash injection, and heal rounds -- and appends a
+    client crash injection, restarts of stopped nodes (which come back
+    with their old disks, so every strip written while they were down
+    is stale), and heal rounds -- and appends a
     convergence epilogue (heal, rebuild, recover, deep scrub,
     ``check_quiescent``) so every chaos campaign must end all-clean.
     The default vocabulary is byte-identical to the pre-chaos
@@ -304,7 +307,9 @@ def generate_scenario(
     impaired: set[int] = set()
     #: why each impaired column is impaired: reachability losses
     #: ("stop", "net") are what a heal round fixes; media losses
-    #: ("disk", "latent") need an explicit rebuild.
+    #: ("disk", "latent") need an explicit rebuild.  A restarted node
+    #: ("stale") may hold stale strips, so it stays impaired until a
+    #: rebuild.
     impair_kind: dict[int, str] = {}
     n_cols = k + 2
 
@@ -375,6 +380,8 @@ def generate_scenario(
             choices += ["scrub"] if objects else ["txn_write", "scrub"]
             if not impaired:
                 choices.append("corrupt")
+            if "stop" in impair_kind.values():
+                choices.append("restart_node")
         kind = rng.choice(choices)
 
         if kind == "gateway_put":
@@ -427,6 +434,13 @@ def generate_scenario(
             impaired.add(col)
             impair_kind[col] = "stop"
             ops.append({"op": "stop_node", "column": col})
+        elif kind == "restart_node":
+            col = rng.choice(sorted(c for c, why in impair_kind.items() if why == "stop"))
+            impair_kind[col] = "stale"
+            # Read everything straight back: no strip written while the
+            # node was down may be trusted now that it answers again.
+            ops.append({"op": "restart_node", "column": col})
+            ops.append({"op": "read_all"})
         elif kind == "net_fault":
             col = rng.choice(healthy)
             impaired.add(col)
@@ -658,6 +672,8 @@ def run_scenario(
                     record["sha"] = _sha(got)
                 elif kind == "stop_node":
                     await cluster.stop_node(int(op["column"]))
+                elif kind == "restart_node":
+                    await cluster.restart_node(int(op["column"]))
                 elif kind == "fault":
                     col = int(op["column"])
                     cluster.nodes[col].faults = NetworkFaultPlan.from_header(

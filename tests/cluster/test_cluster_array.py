@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.array.faults import NetworkFaultPlan
 from repro.cluster import ClusterArray, ClusterDegradedError, RebuildScheduler, RetryPolicy
 from tests.cluster.conftest import FAST_POLICY, payload_for, sim_cluster
 
@@ -176,9 +177,9 @@ class TestRebuild:
 
                 for col in dead:
                     addr = await cluster.start_replacement(col)
-                    sched = RebuildScheduler(arr, batch_stripes=2, workers=2)
-                    sched.start(col, addr)
-                    rebuilt = await sched.wait()
+                    sched = RebuildScheduler(arr, batch_stripes=2)
+                    task = asyncio.create_task(sched.rebuild_column(col, addr))
+                    rebuilt = await task
                     assert rebuilt == arr.n_stripes
                     done, total = sched.progress
                     assert done == total
@@ -207,16 +208,44 @@ class TestRebuild:
                 await cluster.stop_node(0)
                 addr = await cluster.start_replacement(0)
                 sched = RebuildScheduler(arr, batch_stripes=2)
-                task = sched.start(0, addr)
+                task = asyncio.create_task(sched.rebuild_column(0, addr))
                 # Interleave live degraded reads with the background task.
                 back = await arr.read(0, arr.capacity)
-                await sched.wait()
+                await task
                 cluster.promote_replacement(0)
                 assert task.done()
                 return data, back
 
         data, back = asyncio.run(run())
         assert back == data
+
+    def test_write_during_a_rebuild_window_is_not_lost(self):
+        """A write to a stripe whose window is decoded but not yet on
+        the replacement must not be lost there: the window holds the
+        stripe locks until its puts land."""
+
+        async def run():
+            code, cluster = sim_cluster(n_stripes=4)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                sdb = arr.stripe_data_bytes
+                want = bytearray(payload_for(arr, seed=1))
+                await arr.write(0, bytes(want))
+                await cluster.stop_node(0)
+                addr = await cluster.start_replacement(0)
+                cluster.replacements[0].faults = NetworkFaultPlan(latency=0.3)
+                sched = RebuildScheduler(arr, batch_stripes=4)
+                task = asyncio.create_task(sched.rebuild_column(0, addr))
+                await cluster.clock.sleep(0.1)  # the window's puts are in flight
+                fresh = payload_for(arr, seed=2)[:sdb]
+                await arr.write(sdb, fresh)
+                want[sdb : 2 * sdb] = fresh
+                await task
+                cluster.promote_replacement(0)
+                return bytes(want), await arr.read(0, arr.capacity)
+
+        want, back = asyncio.run(run())
+        assert back == want
 
     def test_rebuild_survives_concurrent_second_loss(self):
         async def run():

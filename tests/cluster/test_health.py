@@ -171,10 +171,8 @@ class TestHealthMonitor:
                 await monitor.probe_once()
                 assert arr.breakers["n1"].state is BreakerState.OPEN
                 # Data-plane requests now short-circuit without a dial.
-                missing = await arr._gather_columns(
-                    0, [1], code.alloc_stripe()
-                )
-                assert missing == [1]
+                _, erased = await arr.assemble(0, [1])
+                assert erased == [1]
                 assert arr.metrics.get("breaker_short_circuits") > 0
 
         asyncio.run(run())

@@ -162,6 +162,36 @@ class TestConvergence:
 
         asyncio.run(run())
 
+    def test_stale_column_that_stays_put_stays_stale(self):
+        """A migration moves some columns of a stripe whose unmoved
+        column is stale (skipped by a degraded write, node back with
+        its old disk): the flip must not forget that column is stale."""
+
+        async def run():
+            _, cluster = elastic_sim_cluster()
+            async with cluster:
+                arr, data, _ = await churned(cluster, seed=1)
+                reb = Rebalancer(arr)
+                # A misplaced stripe with a data column that stays put.
+                stripe, col = next(
+                    (s, c)
+                    for s in reb.misplaced()
+                    for c in range(arr.code.k)
+                    if arr.holders(s)[c] == reb.targets(s)[c]
+                )
+                node = arr.holders(stripe)[col]
+                await cluster.stop_node(node)
+                sdb = arr.stripe_data_bytes
+                fresh = payload_for(arr, seed=2)[:sdb]
+                await arr.write(stripe * sdb, fresh)
+                await cluster.restart_node(node)
+                await reb.run_until_converged()
+                assert arr.holders(stripe)[col] == node
+                return fresh, await arr.read(stripe * sdb, sdb)
+
+        fresh, back = asyncio.run(run())
+        assert back == fresh
+
 
 class TestDrain:
     def test_drain_empties_the_node_and_tombstones_it(self):

@@ -10,6 +10,7 @@ import asyncio
 
 import numpy as np
 
+from repro.array.faults import NetworkFaultPlan
 from repro.cluster import ClusterScrubber
 from tests.cluster.conftest import FAST_POLICY, payload_for, sim_cluster
 
@@ -162,6 +163,38 @@ class TestDirtyStripes:
                 assert arr.dirty_stripes == {2: {0}}  # kept for the next pass
 
         asyncio.run(run())
+
+    def test_write_racing_a_repair_is_not_overwritten(self):
+        """A foreground write that lands while the scrubber is between
+        reading a stripe and writing a decoded strip back must not be
+        overwritten by the older decoded bytes."""
+
+        async def run():
+            code, cluster = sim_cluster()
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                sdb = arr.stripe_data_bytes
+                want = bytearray(payload_for(arr, seed=1))
+                await arr.write(0, bytes(want))
+                await cluster.stop_node(code.q_col)
+                await arr.write(sdb, payload_for(arr, seed=2)[:sdb])
+                await cluster.restart_node(code.q_col)
+                # Q is slow: the write's Q put is still in flight when
+                # the scrubber sends its decoded Q strip.
+                cluster.nodes[code.q_col].faults = NetworkFaultPlan(latency=0.3)
+                fresh = payload_for(arr, seed=3)[:sdb]
+                await asyncio.gather(
+                    ClusterScrubber(arr).scrub_stripe(1), arr.write(sdb, fresh)
+                )
+                want[sdb : 2 * sdb] = fresh
+                cluster.nodes[code.q_col].faults = NetworkFaultPlan()
+                # Only Q and one data column can recover the stripe now.
+                await cluster.stop_node(0)
+                await cluster.stop_node(code.p_col)
+                return bytes(want), await arr.read(0, arr.capacity)
+
+        want, back = asyncio.run(run())
+        assert back == want
 
 
 class TestIdleEconomy:
